@@ -716,7 +716,10 @@ void MindNode::FinalizeQuery(uint64_t query_id, bool complete) {
   result.nodes_visited = pq.visited.size();
   QueryCallback cb = std::move(pq.callback);
   queries_.erase(it);
-  if (cb) cb(result);
+  if (!cb) return;
+  sim_->DeliverCompletion(
+      events_->now(), query_id,
+      [cb = std::move(cb), result = std::move(result)] { cb(result); });
 }
 
 // --------------------------------------------------------------- histograms
@@ -768,7 +771,11 @@ Status MindNode::StartRebalance(const RebalanceParams& params,
             pc2.params.new_start);
       }
     }
-    if (pc2.done) pc2.done(status);
+    if (pc2.done) {
+      sim_->DeliverCompletion(
+          events_->now(), collection_id,
+          [done = std::move(pc2.done), status] { done(status); });
+    }
   });
   return Status::OK();
 }

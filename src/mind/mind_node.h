@@ -125,8 +125,23 @@ class MindNode {
 
   using QueryCallback = std::function<void(const QueryResult&)>;
 
-  /// Issues a multi-dimensional range query. Returns the query id; the
-  /// callback fires exactly once (completion, timeout or cancellation).
+  /// Issues a multi-dimensional range query. Returns the query id
+  /// (`(originator id << 32) | per-node sequence`); the callback fires
+  /// exactly once (completion, timeout or cancellation).
+  ///
+  /// Under the sequential engine the callback runs inline, at the completion
+  /// instant. Under the parallel engine it never runs on a shard worker: a
+  /// completion inside a window is queued and the callback runs in serial
+  /// context at that window's barrier, together with every other completion
+  /// of the window, in (completion time, query id) order. There `now()`
+  /// reads the barrier time, not the completion instant; use
+  /// QueryResult::latency (measured at completion) for timing. The order
+  /// matches the sequential engine's whenever completion times differ; two
+  /// completions at the same sim instant are ordered by query id (originator
+  /// id, then issue order), where the sequential engine runs them in event
+  /// order. Either way the order is the same for every thread count, shard
+  /// count and executor policy. StartRebalance's `done` follows the same
+  /// rule, keyed by its collection id.
   Result<uint64_t> Query(const std::string& index, const Rect& rect,
                          QueryCallback callback);
 
@@ -205,6 +220,8 @@ class MindNode {
     /// day, so the new cuts sit where the next day's data will fall).
     Value time_shift = 0;
   };
+  /// `done` runs once the collect window closes; under the parallel engine
+  /// it is delivered at the window barrier like a query callback (see Query).
   Status StartRebalance(const RebalanceParams& params,
                         std::function<void(Status)> done = nullptr);
 

@@ -91,6 +91,28 @@ void ParallelEngine::ScheduleKeyed(NodeId owner, SimTime t, uint8_t band,
   }
 }
 
+void ParallelEngine::DeferToBarrier(SimTime t, uint64_t key, EventFn fn) {
+  MIND_CHECK(in_parallel_phase_ && tls_shard >= 0)
+      << "DeferToBarrier outside a shard worker";
+  lanes_[tls_shard].deferred.push_back(Deferred{t, key, std::move(fn)});
+}
+
+void ParallelEngine::RunDeferred() {
+  // Lanes in shard order, not active_ order (kDynamic sorts that by load),
+  // so ties on (t, key) break the same way under every policy.
+  for (ShardLane& lane : lanes_) {
+    for (Deferred& d : lane.deferred) deferred_.push_back(std::move(d));
+    lane.deferred.clear();
+  }
+  if (deferred_.empty()) return;
+  std::stable_sort(deferred_.begin(), deferred_.end(),
+                   [](const Deferred& a, const Deferred& b) {
+                     return a.t != b.t ? a.t < b.t : a.key < b.key;
+                   });
+  for (Deferred& d : deferred_) d.fn();
+  deferred_.clear();
+}
+
 SimTime ParallelEngine::lookahead() {
   size_t hosts = network_->host_count();
   if (lookahead_ == 0 || hosts != lookahead_host_count_ ||
@@ -435,6 +457,7 @@ size_t ParallelEngine::RunWindows(SimTime target, bool bounded, size_t limit) {
       floor = std::min(floor, queues_[s]->now());
     }
     control_->AdvanceTo(floor);
+    RunDeferred();
     if (barrier_hook_ && floor >= next_hook_) {
       barrier_hook_();
       next_hook_ = floor + barrier_interval_;

@@ -155,6 +155,16 @@ class ParallelEngine {
   void ScheduleKeyed(NodeId owner, SimTime t, uint8_t band, uint64_t ukey,
                      EventFn fn);
 
+  /// Queues `fn` to run in serial context when the current window closes.
+  /// Called from a shard worker during a parallel phase (tls shard >= 0):
+  /// user-visible completions (query results, rebalance outcomes) go through
+  /// here so they never run concurrently with each other. At the barrier —
+  /// after the cross-shard exchange and the clock commit, before the barrier
+  /// hook — every shard's queued calls run on the orchestrating thread in
+  /// (t, key) order, ties in (shard, append) order, so the sequence is the
+  /// same for every thread count and executor policy.
+  void DeferToBarrier(SimTime t, uint64_t key, EventFn fn);
+
   /// Windowed equivalents of EventQueue::Run / RunUntil across all shards.
   /// Run's `limit` is enforced at window granularity.
   size_t Run(size_t limit);
@@ -194,13 +204,19 @@ class ParallelEngine {
     uint8_t band = 0;
     EventFn fn;
   };
+  struct Deferred {
+    SimTime t = 0;
+    uint64_t key = 0;
+    EventFn fn;
+  };
 
-  /// Per-shard per-window state, cache-line-padded: `outbox` and `fired` are
-  /// written by whichever executor claims the shard, `wend` is read-only
-  /// during the phase. Padding keeps two executors finishing adjacent shards
-  /// from bouncing one line.
+  /// Per-shard per-window state, cache-line-padded: `outbox`, `deferred` and
+  /// `fired` are written by whichever executor claims the shard, `wend` is
+  /// read-only during the phase. Padding keeps two executors finishing
+  /// adjacent shards from bouncing one line.
   struct alignas(64) ShardLane {
     std::vector<Pending> outbox;  // cross-shard sends, drained at the barrier
+    std::vector<Deferred> deferred;  // DeferToBarrier calls, run at the barrier
     uint64_t fired = 0;           // events executed this window
     SimTime wend = 0;             // this shard's window end (exclusive)
     SimTime next_time = 0;        // earliest pending event (serial scratch)
@@ -219,6 +235,8 @@ class ParallelEngine {
   // 1..threads-1 are the helper threads.
   void RunShardsInWindow(int executor);
   void RunOneShard(int s);
+  // Runs the window's DeferToBarrier calls in serial context (see there).
+  void RunDeferred();
   void EnsureWorkers();
   void WorkerLoop(int executor);
   // Releases helpers for one window and waits for them to finish, recording
@@ -238,6 +256,7 @@ class ParallelEngine {
   ExecutorPolicy policy_;
   std::vector<std::unique_ptr<EventQueue>> queues_;
   std::vector<ShardLane> lanes_;  // indexed by shard
+  std::vector<Deferred> deferred_;  // RunDeferred scratch, merged across lanes
   // Minimum host-to-host latency from shard r to shard s at r*S+s;
   // UINT64_MAX where no host pair exists. Recomputed with lookahead_.
   std::vector<SimTime> latency_matrix_;

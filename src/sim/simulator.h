@@ -4,6 +4,7 @@
 #define MIND_SIM_SIMULATOR_H_
 
 #include <memory>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/failure_injector.h"
@@ -101,6 +102,23 @@ class Simulator {
   /// On the sequential path this is exactly events().ScheduleAt.
   EventId ScheduleOn(NodeId owner, SimTime at, EventFn fn) {
     return queue_for(owner)->ScheduleAt(at, std::move(fn));
+  }
+
+  /// Delivers a user-visible completion (a query result, a rebalance
+  /// outcome) that fell due at sim time `at`; `key` orders completions due
+  /// at the same instant. The sequential engine calls `fn` right away.
+  /// Under the parallel engine a call from a shard worker is queued and `fn`
+  /// runs in serial context at the window barrier
+  /// (ParallelEngine::DeferToBarrier), so user callbacks never run
+  /// concurrently and arrive in one order for every thread count, shard
+  /// count and executor policy.
+  template <typename F>
+  void DeliverCompletion(SimTime at, uint64_t key, F&& fn) {
+    if (engine_ != nullptr && engine_->in_parallel_phase()) {
+      engine_->DeferToBarrier(at, key, EventFn(std::forward<F>(fn)));
+    } else {
+      fn();
+    }
   }
 
   /// Mixes the engine-independent (time, band, ukey) triples of every

@@ -553,6 +553,135 @@ TEST(ParallelEngineTest, ValidatorsRunAtBarriers) {
   EXPECT_TRUE(net.ValidateInvariants().ok());
 }
 
+// ------------------------------------------------ completion delivery order
+
+// One user-visible completion, as its callback saw it.
+struct Completion {
+  uint64_t id = 0;      // query id; 0 for the rebalance
+  size_t rows = 0;      // result size; 1/0 = rebalance status ok/error
+  SimTime done_at = 0;  // completion instant: issue time + latency
+  uint64_t window = 0;  // engine window the callback ran after (0: sequential)
+  bool serial = false;  // ran outside any shard worker
+
+  // What the contract pins across engines: which completions, in what order,
+  // with what results. `window` is engine-specific by definition.
+  bool operator==(const Completion& o) const {
+    return id == o.id && rows == o.rows && done_at == o.done_at &&
+           serial == o.serial;
+  }
+};
+
+// A volley of queries from every node at one instant, plus a rebalance whose
+// collect window closes amid the replies. Replies land within milliseconds
+// of each other on every shard, so under the parallel engine several
+// completions fall into one window on different shards: the case where
+// callbacks run on the shard workers would race each other.
+std::vector<Completion> RunCompletionWorkload(int threads,
+                                              ExecutorPolicy policy) {
+  MindNetOptions opts;
+  opts.sim.seed = 0xfeed;
+  opts.sim.threads = threads;
+  opts.sim.executor_policy = policy;
+  opts.sim.deterministic_discipline = threads == 0;
+  const size_t kFleet = 16;
+  MindNet net(kFleet, opts);
+  EXPECT_TRUE(net.Build().ok());
+  IndexDef def = ParallelIndexDef();
+  EXPECT_TRUE(net.CreateIndexEverywhere(
+                     def, std::make_shared<CutTree>(CutTree::Even(def.schema)),
+                     1, 0)
+                  .ok());
+  Rng rng(7);
+  for (uint64_t i = 0; i < 120; ++i) {
+    Tuple t = ParallelTuple(&rng, kFleet, i);
+    size_t src = rng.Uniform(kFleet);
+    EXPECT_TRUE(net.node(src).Insert("par_idx", std::move(t)).ok());
+    net.sim().RunFor(FromMillis(40));
+  }
+  net.sim().RunFor(FromSeconds(10));
+
+  std::vector<Completion> out;
+  Simulator& sim = net.sim();
+  auto window = [&sim] {
+    const EngineStats* st = sim.engine_stats();
+    return st == nullptr ? uint64_t{0} : st->windows;
+  };
+  auto serial = [&sim] {
+    const ParallelEngine* eng = sim.parallel_engine();
+    return ParallelEngine::current_shard() < 0 &&
+           (eng == nullptr || !eng->in_parallel_phase());
+  };
+  const SimTime issued = sim.now();
+  for (size_t n = 0; n < kFleet; ++n) {
+    Value x0 = rng.Uniform(5000);
+    Value y0 = rng.Uniform(5000);
+    Rect rect({{x0, x0 + 1000 + rng.Uniform(4000)},
+               {0, UINT64_MAX},
+               {y0, y0 + 1000 + rng.Uniform(4000)}});
+    EXPECT_TRUE(net.node(n)
+                    .Query("par_idx", rect,
+                           [&, issued](const QueryResult& r) {
+                             EXPECT_TRUE(r.complete);
+                             out.push_back({r.query_id, r.tuples.size(),
+                                            issued + r.latency, window(),
+                                            serial()});
+                           })
+                    .ok());
+  }
+  MindNode::RebalanceParams params;
+  params.index = "par_idx";
+  params.new_version = 2;
+  params.new_start = FromSeconds(86400);
+  params.collect_window = FromMillis(80);
+  EXPECT_TRUE(net.node(5)
+                  .StartRebalance(params,
+                                  [&](Status st) {
+                                    out.push_back({0, st.ok() ? 1u : 0u,
+                                                   issued +
+                                                       params.collect_window,
+                                                   window(), serial()});
+                                  })
+                  .ok());
+  sim.RunFor(FromSeconds(30));
+  return out;
+}
+
+// Query callbacks are delivered in (completion time, query id) order on the
+// orchestrating thread, never on a shard worker: the sequence of completions
+// and results is the sequential engine's at every thread count and under
+// every executor policy.
+TEST(ParallelEngineTest, CompletionCallbacksInOneOrderAcrossEngines) {
+  const std::vector<Completion> serial =
+      RunCompletionWorkload(0, ExecutorPolicy::kDynamic);
+  const uint64_t shards = ParallelEngine::DefaultShardCount();
+  ASSERT_EQ(serial.size(), 17u);
+  for (size_t i = 1; i < serial.size(); ++i) {
+    EXPECT_LE(serial[i - 1].done_at, serial[i].done_at) << "i=" << i;
+  }
+  for (const Completion& c : serial) EXPECT_TRUE(c.serial);
+  for (ExecutorPolicy policy :
+       {ExecutorPolicy::kStatic, ExecutorPolicy::kDynamic,
+        ExecutorPolicy::kStealing}) {
+    for (int threads : {1, 2, 4}) {
+      const std::vector<Completion> par =
+          RunCompletionWorkload(threads, policy);
+      EXPECT_TRUE(par == serial)
+          << "policy=" << static_cast<int>(policy) << " threads=" << threads;
+      // The workload must reach the racy case: consecutive completions in
+      // one window from originators on different shards.
+      bool shared_window = false;
+      for (size_t i = 1; i < par.size(); ++i) {
+        uint64_t a = par[i - 1].id >> 32, b = par[i].id >> 32;
+        shared_window |= par[i - 1].window == par[i].window &&
+                         par[i - 1].id != 0 && par[i].id != 0 &&
+                         a % shards != b % shards;
+      }
+      EXPECT_TRUE(shared_window)
+          << "policy=" << static_cast<int>(policy) << " threads=" << threads;
+    }
+  }
+}
+
 // ------------------------------------------------------- sharded telemetry
 
 #ifndef MIND_TELEMETRY_DISABLED

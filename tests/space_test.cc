@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <string>
+#include <type_traits>
+#include <utility>
 
 #include "space/cut_tree.h"
 #include "space/histogram.h"
@@ -463,11 +466,18 @@ TEST(CutTreeBalancedTest, CoverAndPointCodesConsistent) {
 
 // Property sweep over schemas/dimensions: code/rect duality holds for any
 // dimensionality and domain shape.
+//
+// `dims` is 64-bit so that the struct has no padding. gtest prints a
+// parameter without a PrintTo as its raw bytes, and gtest_discover_tests
+// names each ctest case after that print; a padding hole would put stack
+// garbage into the case names, so they changed from one build to the next.
 struct TreeParam {
-  int dims;
+  int64_t dims;
   uint64_t domain_max;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TreeParam>,
+              "TreeParam must have no padding bytes");
 
 class CutTreePropertyTest : public ::testing::TestWithParam<TreeParam> {};
 
@@ -475,7 +485,11 @@ TEST_P(CutTreePropertyTest, PointAlwaysInOwnRect) {
   const TreeParam param = GetParam();
   std::vector<AttributeDef> attrs;
   for (int d = 0; d < param.dims; ++d) {
-    attrs.push_back({"d" + std::to_string(d), 0, param.domain_max});
+    // Appended rather than `"d" + std::to_string(d)`: gcc 12 at -O2 reports
+    // a false -Werror=restrict inside that operator+ overload.
+    std::string name = "d";
+    name += std::to_string(d);
+    attrs.push_back({std::move(name), 0, param.domain_max});
   }
   Schema s(attrs);
   Rng rng(param.seed);
@@ -506,7 +520,9 @@ TEST_P(CutTreePropertyTest, DistinctRegionsAreDisjoint) {
   const TreeParam param = GetParam();
   std::vector<AttributeDef> attrs;
   for (int d = 0; d < param.dims; ++d) {
-    attrs.push_back({"d" + std::to_string(d), 0, param.domain_max});
+    std::string name = "d";
+    name += std::to_string(d);
+    attrs.push_back({std::move(name), 0, param.domain_max});
   }
   Schema s(attrs);
   CutTree t = CutTree::Even(s);
