@@ -125,15 +125,15 @@ int main(int argc, char** argv) {
   }
 
   auto& sm = net->sim().metrics();
-  const uint64_t events_before = sm.counter("sim.events.processed").value();
   const auto wall_start = std::chrono::steady_clock::now();
-  net->sim().RunFor(FromSeconds(drive_sec + 60));  // workload + settle
+  // The count RunFor returns, not the sim.events.processed counter: the
+  // engine's own count survives MIND_TELEMETRY=OFF.
+  const uint64_t events =
+      net->sim().RunFor(FromSeconds(drive_sec + 60));  // workload + settle
   const double wall_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  const uint64_t events =
-      sm.counter("sim.events.processed").value() - events_before;
 
   const double hits =
       static_cast<double>(sm.counter("overlay.route.cache_hits").value());

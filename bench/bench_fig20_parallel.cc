@@ -1,7 +1,7 @@
 // Figure 20 (engine scaling, no paper counterpart): the Figure 18 1024-node
 // mixed workload executed by the sharded parallel engine at worker thread
-// counts {1, 2, 4, 8}, against the sequential engine running the same
-// determinism discipline as the serial baseline.
+// counts {1, 2, 4, 8}, against the sequential engine as the serial
+// baseline.
 //
 // Two claims are checked, not just reported:
 //   identity -- every configuration must produce the SAME deployment: the
@@ -13,7 +13,7 @@
 //
 // Duty cycle: MIND_BENCH_DUTY=<percent> (or argv[1]) scales the driven
 // sim-time window, as in fig18. MIND_BENCH_THREADS="0,2" overrides the
-// thread-count list (0 = sequential engine + discipline); the TSan CI job
+// thread-count list (0 = sequential engine); the TSan CI job
 // uses that to keep its instrumented run small. Results export to
 // BENCH_fig20_parallel.json.
 #include <chrono>
@@ -124,14 +124,13 @@ double ShardImbalance(const EngineStats& s) {
 
 // One full fig18-shaped run: 1024 flat nodes, mixed insert/batch/query
 // workload over `drive_sec` of sim time, then settle. `threads == 0` runs the
-// sequential engine under the determinism discipline.
+// sequential engine.
 ConfigResult RunConfig(int threads, double drive_sec, ExecutorPolicy policy) {
   const size_t kNodes = 1024;
   MindNetOptions mopts;
   mopts.sim.seed = 0x18181818;
   mopts.sim.threads = threads;
   mopts.sim.executor_policy = policy;
-  mopts.sim.deterministic_discipline = threads == 0;
   mopts.overlay.heartbeat_interval = 0;
   mopts.mind.replication = 1;
   MindNet net(kNodes, mopts);
@@ -207,9 +206,9 @@ ConfigResult RunConfig(int threads, double drive_sec, ExecutorPolicy policy) {
   }
 
   auto& sm = net.sim().metrics();
-  const uint64_t events_before = sm.counter("sim.events.processed").value();
   const auto wall_start = std::chrono::steady_clock::now();
-  net.sim().RunFor(FromSeconds(drive_sec + 60));  // workload + settle
+  // Both engines return the events they ran, with or without telemetry.
+  const size_t events = net.sim().RunFor(FromSeconds(drive_sec + 60));
   const double wall_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -218,7 +217,7 @@ ConfigResult RunConfig(int threads, double drive_sec, ExecutorPolicy policy) {
   ConfigResult r;
   r.threads = threads;
   r.wall_sec = wall_sec;
-  r.events = sm.counter("sim.events.processed").value() - events_before;
+  r.events = events;
   r.digest = net.StateDigest();
   r.stored = net.stored().size();
   r.queries = sm.counter("mind.query.count").value();

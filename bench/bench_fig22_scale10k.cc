@@ -116,8 +116,10 @@ int main(int argc, char** argv) {
 
     FleetResult res;
     res.nodes = fleet;
-    auto& sm = net->sim().metrics();
-    const uint64_t events_before = sm.counter("sim.events.processed").value();
+    // Summed from what this loop's RunFor/RunUntil calls return, so the
+    // count survives MIND_TELEMETRY=OFF; the cut flood's settle steps inside
+    // InstallCutsEverywhere are not counted.
+    uint64_t events = 0;
     const auto wall_start = std::chrono::steady_clock::now();
 
     Rng rng(0x22f1 + fleet);
@@ -173,8 +175,9 @@ int main(int argc, char** argv) {
       }
       // Drain the day's traffic, then coast to midnight (no pending events,
       // so the clock jump is O(1)).
-      net->sim().RunFor(FromSeconds(drive_sec_per_day + 120));
-      net->sim().RunUntil(day_zero + FromSeconds(86400.0 * (day + 1)));
+      events += net->sim().RunFor(FromSeconds(drive_sec_per_day + 120));
+      events +=
+          net->sim().RunUntil(day_zero + FromSeconds(86400.0 * (day + 1)));
       // Daily freeze + compaction: installing the next cut version closes
       // the day's store generation everywhere (§3.7 daily rebalance).
       st = net->InstallCutsEverywhere(
@@ -186,7 +189,7 @@ int main(int argc, char** argv) {
                      st.ToString().c_str());
         return 1;
       }
-      net->sim().RunFor(FromSeconds(30));
+      events += net->sim().RunFor(FromSeconds(30));
 
       // The measurement hooks (per-commit StoredInfo, per-query visit sets)
       // are bench instrumentation, not node state; drop them daily so the
@@ -208,8 +211,6 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    const uint64_t events =
-        sm.counter("sim.events.processed").value() - events_before;
     res.events_per_sec_wall = wall_sec > 0 ? events / wall_sec : 0;
     res.growth_pct =
         res.day_rss_per_node_kb.front() > 0

@@ -199,6 +199,7 @@ void QueryService::StreamResult(uint64_t ticket, Pending pending,
       std::make_shared<std::vector<Tuple>>(std::move(result.tuples));
   auto deliver = std::make_shared<DeliverFn>(std::move(pending.deliver));
   const uint64_t standing_id = pending.standing_id;
+  const uint64_t query_id = pending.core_query_id;
   const bool complete = result.complete;
   const SimTime latency = result.latency;
   for (size_t k = 0; k < chunks; ++k) {
@@ -207,8 +208,8 @@ void QueryService::StreamResult(uint64_t ticket, Pending pending,
     const bool last = k + 1 == chunks;
     net_->sim().events().Schedule(
         static_cast<SimTime>(k) * options_.delivery_stride,
-        [ticket, standing_id, tuples, deliver, lo, hi, last, complete,
-         latency, epoch] {
+        [ticket, standing_id, query_id, tuples, deliver, lo, hi, last,
+         complete, latency, epoch] {
           Delivery d;
           d.ticket = ticket;
           d.standing_id = standing_id;
@@ -219,6 +220,7 @@ void QueryService::StreamResult(uint64_t ticket, Pending pending,
             d.complete = complete;
             d.latency = latency;
             d.epoch = epoch;
+            d.query_id = query_id;
           }
           (*deliver)(d);
         });

@@ -70,6 +70,9 @@ struct Delivery {
   std::vector<Tuple> tuples; ///< this chunk's tuples
   SimTime latency = 0;       ///< final chunk: submit-to-completion sim time
   uint64_t epoch = 0;        ///< final chunk: index version epoch served
+  /// Final chunk: the core query id (MindNode::Query's), the key of
+  /// MindNet::QueryVisitCount; 0 when the core refused the query.
+  uint64_t query_id = 0;
 };
 
 class QueryService {

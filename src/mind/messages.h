@@ -89,7 +89,7 @@ struct InsertMsg : MindMsg {
   size_t SizeBytes() const override { return 32 + tuple.WireBytes(); }
 };
 
-/// Direct to a replication neighbor.
+/// Direct to a replication neighbor, or to the heir of a relabeled slot.
 struct ReplicateMsg : MindMsg {
   std::string index;
   VersionId version = 0;

@@ -64,6 +64,9 @@ MindNode::MindNode(Simulator* sim, OverlayOptions overlay_options,
     OnDirect(from, msg);
   });
   overlay_.set_on_forward([this](const MessagePtr& inner) { OnForward(inner); });
+  overlay_.set_on_relabel([this](const BitCode& left, NodeId heir) {
+    HandOffRegion(left, heir);
+  });
   overlay_.set_on_joined([this] {
     data_sibling_ = overlay_.join_parent();
     join_time_ = events_->now();
@@ -947,6 +950,30 @@ void MindNode::OnDirect(NodeId from, const MessagePtr& msg) {
     }
     default:
       break;
+  }
+}
+
+void MindNode::HandOffRegion(const BitCode& left, NodeId heir) {
+  for (const auto& [name, st] : indices_) {
+    for (const auto& info : st.primary.Versions()) {
+      CutTreeRef cuts = st.primary.Cuts(info.id);
+      std::optional<Rect> rect = cuts ? cuts->RectForCode(left) : std::nullopt;
+      if (!rect.has_value()) continue;
+      std::vector<Tuple> found;
+      for (const IndexVersions* chain : {&st.primary, &st.replicas}) {
+        const TupleStore* store = chain->Store(info.id);
+        if (store != nullptr) store->QueryInto(*rect, &found);
+      }
+      // The heir keeps them as replicas, which answer queries.
+      for (Tuple& t : found) {
+        auto rep = MakeMessage<ReplicateMsg>();
+        rep->index = name;
+        rep->version = info.id;
+        rep->code = cuts->CodeForPoint(t.point, options_.insert_code_len);
+        rep->tuple = std::move(t);
+        overlay_.SendDirect(heir, rep);
+      }
+    }
   }
 }
 

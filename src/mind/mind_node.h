@@ -258,11 +258,8 @@ class MindNode {
                                tree_index) const;
 
   /// Restores state written by SaveSnapshotState into this freshly
-  /// constructed node. `trees` is the deserialized interned tree table;
-  /// `preserve_seqs` selects the legacy exact-sequence timer re-arm (see
-  /// OverlayNode::LoadSnapshotState).
-  Status LoadSnapshotState(SnapReader* r, const std::vector<CutTreeRef>& trees,
-                           bool preserve_seqs);
+  /// constructed node. `trees` is the deserialized interned tree table.
+  Status LoadSnapshotState(SnapReader* r, const std::vector<CutTreeRef>& trees);
 
  private:
   struct IndexState {
@@ -317,6 +314,9 @@ class MindNode {
   void OnHistReply(const HistReplyMsg& m);
   void FinalizeQuery(uint64_t query_id, bool complete);
   void RequestIndexSync();
+  /// Replicates to `heir` every tuple stored here (primary or replica) whose
+  /// code lies in `left`, the slot this node relabeled away from.
+  void HandOffRegion(const BitCode& left, NodeId heir);
   void NoteQueryVisit(uint64_t query_id);
 
   IndexState* FindIndex(const std::string& name);

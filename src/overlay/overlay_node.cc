@@ -427,10 +427,7 @@ void OverlayNode::HandleMessage(NodeId from, const MessagePtr& msg) {
         if (code_.length() > 0 && old == code_.Sibling() &&
             old != cu.new_code && !old.IsPrefixOf(cu.new_code) &&
             !cu.new_code.IsPrefixOf(code_)) {
-          tm_.takeovers->Inc();
-          SetCode(code_.Parent());
-          AnnounceCode();
-          if (on_takeover_) on_takeover_(old);
+          TakeOver(code_.Parent(), old);
         }
       }
       break;
@@ -438,6 +435,14 @@ void OverlayNode::HandleMessage(NodeId from, const MessagePtr& msg) {
     case OverlayMsgKind::kHeartbeat: {
       const auto& hb = static_cast<const HeartbeatMsg&>(*om);
       NotePeerAlive(from, &hb.code);
+      // An unjoined node has no code to report. A peer can still list it
+      // when a join's commit raced the joiner's timeout (the parent undoes
+      // its split, but peers that applied the commit notice keep the
+      // joiner); acking with the empty code would make that peer adopt it
+      // and offer this node to every later joiner as the shallowest parent,
+      // which it refuses, forever. Silence lets the peer's failure detector
+      // drop the entry instead.
+      if (!joined_) break;
       auto ack = MakeMessage<HeartbeatAckMsg>();
       ack->code = code_;
       SendRaw(from, ack);

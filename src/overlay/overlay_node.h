@@ -132,6 +132,12 @@ class OverlayNode : public Host {
     on_takeover_ = std::move(fn);
   }
 
+  /// Fired when a recursive takeover (§3.8) relabels this node away from
+  /// `left`, which its exact sibling `heir` absorbs; stored data must follow.
+  void set_on_relabel(std::function<void(BitCode left, NodeId heir)> fn) {
+    on_relabel_ = std::move(fn);
+  }
+
   /// Fired with the payload whenever this node forwards a routed envelope
   /// (used to measure per-query overlay visit counts).
   void set_on_forward(std::function<void(const MessagePtr&)> fn) {
@@ -168,12 +174,10 @@ class OverlayNode : public Host {
   /// with pre-snapshot ones.
   Status SaveSnapshotState(SnapWriter* w) const;
   /// Restores state saved by SaveSnapshotState into this freshly
-  /// constructed node and re-arms its heartbeat timer. `preserve_seqs` (the
-  /// legacy-digest mode) re-inserts the timer under its exact saved
-  /// insertion sequence; discipline mode re-arms fresh — keyed digests
-  /// ignore per-queue seqs, which is what lets a discipline snapshot restore
-  /// into a different thread/shard count.
-  Status LoadSnapshotState(SnapReader* r, bool preserve_seqs);
+  /// constructed node and re-arms its heartbeat timer under its saved
+  /// (time, band, ukey). Keyed digests ignore per-queue seqs, which is what
+  /// lets a snapshot restore into a different thread/shard count.
+  Status LoadSnapshotState(SnapReader* r);
 
   /// True while the heartbeat timer is live in the event queue — the one
   /// event class the snapshot layer re-arms (MindNet's save-time quiescence
@@ -231,10 +235,17 @@ class OverlayNode : public Host {
   void StartVacancyWatch(const BitCode& region, int escalations_left,
                          bool recheck_phase);
   void OnWatchTimeout(uint64_t probe_id);
-  // Absorbs `p` if the structural conditions still hold for our current code
-  // (exact sibling -> shorten; all-zeros descendant of the sibling subtree ->
-  // relabel). Re-checked after the probe timeout.
+  // How our current code could absorb vacant region `p` that no known peer
+  // covers: as its exact sibling (shorten), as the all-zeros descendant of
+  // its sibling subtree (relabel), or not at all.
+  enum class Absorb { kNone, kShorten, kRelabel };
+  Absorb AbsorbKind(const BitCode& p) const;
+  // Absorbs `p` if AbsorbKind still allows it after the probe timeout; a
+  // relabel also needs a live exact sibling to take over the slot we leave.
   void TryAbsorbRegion(const BitCode& p);
+  // Moves to `new_code` to cover the vacant region `absorbed` and tells the
+  // peers and the application.
+  void TakeOver(BitCode new_code, const BitCode& absorbed);
   // True if some known peer's code is prefix-compatible with p (someone
   // covers that region).
   bool RegionCoveredByPeer(const BitCode& p) const;
@@ -380,6 +391,7 @@ class OverlayNode : public Host {
   std::function<void()> on_joined_;
   std::function<void(BitCode, BitCode)> on_code_change_;
   std::function<void(BitCode)> on_takeover_;
+  std::function<void(BitCode, NodeId)> on_relabel_;
   std::function<void(const MessagePtr&)> on_forward_;
 
   // Registry instruments (`overlay.*`), aggregated across all nodes sharing

@@ -75,11 +75,7 @@ void OverlayNode::DeclarePeerDead(NodeId peer) {
   // a live peer covers.
   if (code_.length() > 0 && peer_code == code_.Sibling() &&
       !RegionCoveredByPeer(peer_code)) {
-    tm_.takeovers->Inc();
-    BitCode absorbed = peer_code;
-    SetCode(code_.Parent());
-    AnnounceCode();
-    if (on_takeover_) on_takeover_(absorbed);
+    TakeOver(code_.Parent(), peer_code);
     return;
   }
 
@@ -148,6 +144,13 @@ void OverlayNode::OnWatchTimeout(uint64_t probe_id) {
   }
 }
 
+void OverlayNode::TakeOver(BitCode new_code, const BitCode& absorbed) {
+  tm_.takeovers->Inc();
+  SetCode(std::move(new_code));
+  AnnounceCode();
+  if (on_takeover_) on_takeover_(absorbed);
+}
+
 bool OverlayNode::RegionCoveredByPeer(const BitCode& p) const {
   for (const auto& [peer, pcode] : peers_) {
     if (p.IsPrefixOf(pcode) || pcode.IsPrefixOf(p)) return true;
@@ -155,21 +158,25 @@ bool OverlayNode::RegionCoveredByPeer(const BitCode& p) const {
   return false;
 }
 
+OverlayNode::Absorb OverlayNode::AbsorbKind(const BitCode& p) const {
+  const int len = p.length();
+  if (len == 0 || code_.length() < len || RegionCoveredByPeer(p)) {
+    return Absorb::kNone;
+  }
+  if (code_.length() == len) {
+    return code_ == p.Sibling() ? Absorb::kShorten : Absorb::kNone;
+  }
+  if (code_.Prefix(len) != p.Sibling()) return Absorb::kNone;
+  for (int i = len; i < code_.length(); ++i) {
+    if (code_.bit(i) != 0) return Absorb::kNone;
+  }
+  return Absorb::kRelabel;
+}
+
 void OverlayNode::OnRegionVacant(const RegionVacantMsg& m) {
   const BitCode& p = m.vacant;
-  const int len = p.length();
-  if (len == 0 || code_.length() < len) return;
-  if (RegionCoveredByPeer(p)) return;
   // Check we are structurally eligible before spending a probe.
-  bool exact_sibling = (code_.length() == len && code_ == p.Sibling());
-  bool zeros_descendant = false;
-  if (code_.length() > len && code_.Prefix(len) == p.Sibling()) {
-    zeros_descendant = true;
-    for (int i = len; i < code_.length(); ++i) {
-      if (code_.bit(i) != 0) zeros_descendant = false;
-    }
-  }
-  if (!exact_sibling && !zeros_descendant) return;
+  if (AbsorbKind(p) == Absorb::kNone) return;
 
   // Probe-before-repair: a takeover elsewhere may already have filled the
   // region; only absorb if nobody answers for it.
@@ -201,26 +208,25 @@ void OverlayNode::OnRegionVacant(const RegionVacantMsg& m) {
 }
 
 void OverlayNode::TryAbsorbRegion(const BitCode& p) {
-  const int len = p.length();
-  if (len == 0 || code_.length() < len) return;
-  if (RegionCoveredByPeer(p)) return;
-  if (code_.length() == len) {
-    if (code_ == p.Sibling()) {
-      tm_.takeovers->Inc();
-      SetCode(code_.Parent());
-      AnnounceCode();
-      if (on_takeover_) on_takeover_(p);
+  const Absorb kind = AbsorbKind(p);
+  if (kind == Absorb::kShorten) TakeOver(code_.Parent(), p);
+  if (kind != Absorb::kRelabel) return;
+  // Relabel: we leave our slot for the vacancy. Only a live exact sibling
+  // absorbs the slot we leave (the CodeUpdate cascade); when our sibling is
+  // a subtree, moving would open a new hole for the one it fills, so the
+  // vacancy stays with the detector's watch.
+  NodeId heir = kInvalidNode;
+  for (const auto& [peer, pcode] : peers_) {
+    if (pcode == code_.Sibling() && (heir == kInvalidNode || peer < heir)) {
+      heir = peer;
     }
-    return;
   }
-  if (code_.Prefix(len) != p.Sibling()) return;
-  for (int i = len; i < code_.length(); ++i) {
-    if (code_.bit(i) != 0) return;
-  }
-  tm_.takeovers->Inc();
-  SetCode(p);
-  AnnounceCode();
-  if (on_takeover_) on_takeover_(p);
+  if (heir == kInvalidNode) return;
+  BitCode left = code_;
+  TakeOver(p, p);
+  // After our CodeUpdate, so the heir has absorbed our old slot (FIFO link)
+  // by the time anything the application hands over arrives.
+  if (on_relabel_) on_relabel_(left, heir);
 }
 
 void OverlayNode::OnRegionProbe(const RegionProbeMsg& m) {
@@ -278,14 +284,20 @@ void OverlayNode::OnRetryTimer(NodeId to) {
   q.swap(rs.queue);
   for (auto& m : q) SendRaw(to, std::move(m));
   // If everything goes through, no failure events arrive and the queue stays
-  // empty; reset the attempt counter after a calm period.
-  events_->Schedule(2 * options_.reconnect_backoff, [this, to] {
-    auto it2 = retry_.find(to);
-    if (it2 != retry_.end() && it2->second.queue.empty() &&
-        it2->second.timer == 0) {
-      retry_.erase(it2);
-    }
-  });
+  // empty; reset the attempt counter after a calm period. The check runs
+  // after any failure notice due at the same instant (with a 100 ms backoff
+  // and the default 200 ms detection delay they coincide); run first, it
+  // would reset the counter of a peer that is still failing, and a dead
+  // peer would be retried forever.
+  events_->ScheduleAtKeyed(
+      events_->now() + 2 * options_.reconnect_backoff,
+      Network::kBandAfterNetwork, static_cast<uint64_t>(to), [this, to] {
+        auto it2 = retry_.find(to);
+        if (it2 != retry_.end() && it2->second.queue.empty() &&
+            it2->second.timer == 0) {
+          retry_.erase(it2);
+        }
+      });
 }
 
 void OverlayNode::GiveUpOnPeerQueue(NodeId to) {

@@ -21,7 +21,6 @@
 #include "sim/event_fn.h"
 #include "sim/time.h"
 #include "telemetry/metrics.h"
-#include "util/digest.h"
 #include "util/status.h"
 
 namespace mind {
@@ -52,7 +51,7 @@ class EventQueue {
   /// Schedules `fn` at `t` with an explicit ordering key. Events fire in
   /// (time, band, ukey, insertion seq) order; plain ScheduleAt uses
   /// (band 0, ukey 0), so its relative order is pure insertion order exactly
-  /// as before. The discipline-mode network layer keys message deliveries by
+  /// as before. The network layer keys message deliveries by
   /// engine-independent values (band, sender, per-link send index) so the
   /// same-timestamp event order at a host is identical whether the run is
   /// sequential or sharded across threads.
@@ -123,30 +122,22 @@ class EventQueue {
   /// Returns OK trivially when MIND_VALIDATORS is off (see util/validate.h).
   Status ValidateInvariants() const;
 
-  /// Folds the queue's logical state (clock + sorted live (time, seq) pairs)
-  /// into `out`. Independent of slot layout, heap shape and compaction
-  /// history, so two behaviorally identical runs digest identically.
-  void DigestInto(Fnv64* out) const;
-
   /// Appends the (time, band, ukey) triple of every live event to `out`
-  /// (unsorted). Unlike DigestInto's (time, seq) pairs, these keys are
-  /// engine-independent: per-queue insertion sequence numbers differ between
-  /// a single global queue and per-shard queues, but the keyed triples do
-  /// not. The discipline-mode StateDigest sorts the union across all shard
-  /// queues and digests that.
+  /// (unsorted). These keys are engine-independent: per-queue insertion
+  /// sequence numbers differ between a single global queue and per-shard
+  /// queues, but the keyed triples do not. StateDigest sorts the union
+  /// across all shard queues and digests that.
   void CollectKeyed(std::vector<std::array<uint64_t, 3>>* out) const;
 
   // --- Snapshot support (src/mind/snapshot.cc) ---------------------------
   // A snapshot may only be taken when every pending event is a re-armable
-  // timer (heartbeats). Save records each timer's ordering key via
+  // timer (heartbeats). Save records each timer's (time, band, ukey) via
   // EventInfo; restore re-creates the closure and re-inserts it with
-  // ScheduleAtKeyedWithSeq so the (time, band, ukey, seq) ordering key — and
-  // therefore the legacy (time, seq) digest — survives the round trip.
+  // ScheduleAtKeyed, which the keyed digest cannot tell from the original.
 
   /// Ordering key of a live pending event.
   struct PendingInfo {
     SimTime time = 0;
-    uint64_t seq = 0;
     uint64_t ukey = 0;
     uint8_t band = 0;
   };
@@ -157,18 +148,6 @@ class EventQueue {
   /// Appends the ordering key of every live event (unsorted). Snapshot save
   /// uses this to name unexpected non-timer events in its quiescence error.
   void CollectPendingInfo(std::vector<PendingInfo>* out) const;
-
-  /// Schedules `fn` with an explicit insertion sequence number instead of
-  /// allocating the next one; bumps the allocator past `seq` so later
-  /// Schedules never collide. Restore-only: using this while the original
-  /// event still exists would duplicate a tie-break key.
-  EventId ScheduleAtKeyedWithSeq(SimTime t, uint8_t band, uint64_t ukey,
-                                 uint64_t seq, EventFn fn);
-
-  /// Insertion-sequence allocator high-water mark, for snapshot round trips
-  /// that must preserve the exact seq a future Schedule would draw.
-  uint64_t next_seq() const { return next_seq_; }
-  void SetNextSeq(uint64_t v) { next_seq_ = v; }
 
  private:
   friend class EventQueueTestPeek;  // corruption injection in validator tests

@@ -32,7 +32,8 @@ class FailureInjector {
  public:
   FailureInjector(EventQueue* events, Network* network, FailureOptions options);
 
-  /// Starts injecting over [now, now + horizon). Pre-schedules all events.
+  /// Starts injecting over [now, now + horizon): every flap and crash is
+  /// drawn up front and registered as a planned outage on the network.
   void Start(SimTime horizon);
 
   /// Called with the node id when the injector crashes / revives a node.

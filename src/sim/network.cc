@@ -4,8 +4,9 @@
 #include <cmath>
 
 #include "sim/parallel_engine.h"
-#include "util/snapio.h"
 #include "util/logging.h"
+#include "util/rng.h"
+#include "util/snapio.h"
 
 namespace mind {
 
@@ -37,7 +38,7 @@ SimTime PropagationDelayUs(const GeoPoint& a, const GeoPoint& b) {
 
 Network::Network(EventQueue* events, NetworkOptions options,
                  telemetry::Telemetry* telemetry)
-    : events_(events), options_(options), rng_(options.seed) {
+    : events_(events), options_(options) {
   if (telemetry != nullptr) {
     telemetry::MetricsRegistry& m = telemetry->metrics();
     msgs_counter_ = &m.counter("sim.net.messages");
@@ -92,11 +93,6 @@ SimTime Network::Latency(NodeId a, NodeId b) const {
   return options_.default_latency;
 }
 
-SimTime Network::JitterUs() {
-  double ms = rng_.LogNormal(options_.jitter_mu_ln_ms, options_.jitter_sigma_ln);
-  return FromMillis(ms);
-}
-
 SimTime Network::JitterCounterUs(NodeId from, NodeId to,
                                  uint64_t counter) const {
   double ms = CounterLogNormal(options_.seed, DirKey(from, to), counter,
@@ -135,70 +131,6 @@ void Network::DispatchKeyed(NodeId to, SimTime t, uint8_t band, uint64_t ukey,
 void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
   MIND_CHECK(from >= 0 && static_cast<size_t>(from) < hosts_.size());
   MIND_CHECK(to >= 0 && static_cast<size_t>(to) < hosts_.size());
-  if (options_.discipline) {
-    SendDiscipline(from, to, msg);
-    return;
-  }
-  if (!hosts_[from].up) return;  // a dead node cannot send
-
-  if (from == to) {
-    if (loopback_counter_ != nullptr) loopback_counter_->Inc();
-    events_->Schedule(options_.loopback_delay, [this, from, to, msg]() {
-      if (hosts_[to].up) hosts_[to].host->HandleMessage(from, msg);
-    });
-    return;
-  }
-
-  SimTime now = events_->now();
-  LinkState& link = LinkTo(from, to);
-
-  bool link_down = false;
-  if (!down_until_.empty()) {
-    auto it = down_until_.find(DirKey(from, to));
-    link_down = it != down_until_.end() && it->second > now;
-  }
-  if (link_down || !hosts_[to].up) {
-    if (send_fail_counter_ != nullptr) send_fail_counter_->Inc();
-    events_->Schedule(options_.send_fail_detect, [this, from, to, msg]() {
-      if (hosts_[from].up) hosts_[from].host->HandleSendFailure(to, msg);
-    });
-    return;
-  }
-
-  double tx_sec =
-      static_cast<double>(msg->SizeBytes()) / options_.bandwidth_bytes_per_sec;
-  SimTime queue_wait = link.busy_until > now ? link.busy_until - now : 0;
-  SimTime depart = std::max(now, link.busy_until) + FromSeconds(tx_sec);
-  link.busy_until = depart;
-  SimTime arrival = depart + CachedLatency(from, to, link) + JitterUs();
-  // The paper's prototype speaks TCP: per-link delivery is in order. Jitter
-  // therefore stretches the stream but never reorders it.
-  arrival = std::max(arrival, link.last_arrival + 1);
-  link.last_arrival = arrival;
-  SimTime delay = arrival - now;
-  link.stats.messages++;
-  link.stats.bytes += msg->SizeBytes();
-  if (msgs_counter_ != nullptr) {
-    msgs_counter_->Inc();
-    bytes_counter_->Inc(msg->SizeBytes());
-    queue_wait_ms_->Record(ToSeconds(queue_wait) * 1e3);
-    delivery_delay_ms_->Record(ToSeconds(delay) * 1e3);
-  }
-
-  events_->Schedule(delay, [this, from, to, msg, delay]() {
-    if (!hosts_[to].up) {
-      // Destination died while the message was in flight: sender learns of
-      // the failure (its TCP connection resets).
-      if (inflight_fail_counter_ != nullptr) inflight_fail_counter_->Inc();
-      if (hosts_[from].up) hosts_[from].host->HandleSendFailure(to, msg);
-      return;
-    }
-    if (delay_observer_) delay_observer_(from, to, delay);
-    hosts_[to].host->HandleMessage(from, msg);
-  });
-}
-
-void Network::SendDiscipline(NodeId from, NodeId to, MessagePtr msg) {
   EventQueue* src_q = queue_for(from);
   SimTime now = src_q->now();
   if (!IsNodeUpAt(from, now)) return;  // a dead node cannot send
@@ -253,30 +185,45 @@ void Network::SendDiscipline(NodeId from, NodeId to, MessagePtr msg) {
     delivery_delay_ms_->Record(ToSeconds(delay) * 1e3);
   }
 
+  // An in-flight loss notifies the sender when the connection reset gets
+  // back to it, at arrival + Latency(to, from), whether the death was
+  // planned or dynamic.
   if (!IsNodeUpAt(to, arrival)) {
-    // In-flight loss, resolved at send time: the failure plan already knows
-    // the destination will be down at arrival, so the sender schedules its
-    // own notification locally — no cross-shard zero-lookahead event needed.
-    DispatchKeyed(from, arrival, kBandNotify, PackUkey(to, send_ix),
-                  [this, from, to, msg, arrival]() {
-                    if (inflight_fail_counter_ != nullptr) {
-                      inflight_fail_counter_->Inc();
-                    }
-                    if (IsNodeUpAt(from, arrival)) {
-                      hosts_[from].host->HandleSendFailure(to, msg);
-                    }
-                  });
+    // Planned: resolved at send time from the failure plan, so the sender
+    // schedules its own notification locally.
+    NotifyInFlightLoss(from, to, std::move(msg), arrival + Latency(to, from),
+                       send_ix);
     return;
   }
 
   DispatchKeyed(to, arrival, kBandDelivery, PackUkey(from, send_ix),
-                [this, from, to, msg, delay]() {
-                  // Last-resort guard for dynamic (unplanned) death between
-                  // send and arrival: the flag only mutates outside parallel
-                  // phases, so both engines read the same value.
-                  if (!hosts_[to].up) return;
+                [this, from, to, msg, arrival, delay, send_ix]() {
+                  if (!hosts_[to].up) {
+                    // Dynamic (unplanned) death between send and arrival.
+                    // The flag only mutates in serial context, so every
+                    // engine reads the same value here. Latency(to, from)
+                    // is at least the inter-shard distance the parallel
+                    // engine's horizons are built from, so this cross-shard
+                    // event keeps lookahead.
+                    NotifyInFlightLoss(from, to, msg,
+                                       arrival + Latency(to, from), send_ix);
+                    return;
+                  }
                   if (delay_observer_) delay_observer_(from, to, delay);
                   hosts_[to].host->HandleMessage(from, msg);
+                });
+}
+
+void Network::NotifyInFlightLoss(NodeId from, NodeId to, MessagePtr msg,
+                                 SimTime at, uint64_t send_ix) {
+  DispatchKeyed(from, at, kBandNotify, PackUkey(to, send_ix),
+                [this, from, to, msg = std::move(msg), at]() {
+                  if (inflight_fail_counter_ != nullptr) {
+                    inflight_fail_counter_->Inc();
+                  }
+                  if (IsNodeUpAt(from, at)) {
+                    hosts_[from].host->HandleSendFailure(to, msg);
+                  }
                 });
 }
 
@@ -286,18 +233,11 @@ void Network::SetNodeUp(NodeId id, bool up) {
   hosts_[id].up = up;
 }
 
-bool Network::IsNodeUp(NodeId id) const {
-  MIND_CHECK(id >= 0 && static_cast<size_t>(id) < hosts_.size());
-  return hosts_[id].up;
-}
-
 void Network::SetLinkDown(NodeId a, NodeId b, SimTime duration) {
   MIND_CHECK(!InParallelPhase()) << "SetLinkDown during a parallel phase";
-  SimTime until = events_->now() + duration;
-  SimTime& ab = down_until_[DirKey(a, b)];
-  SimTime& ba = down_until_[DirKey(b, a)];
-  ab = std::max(ab, until);
-  ba = std::max(ba, until);
+  if (duration == 0) return;
+  const SimTime now = events_->now();
+  PlanLinkOutage(a, b, now, now + duration);
 }
 
 bool Network::IsLinkUp(NodeId a, NodeId b) const {
@@ -332,12 +272,6 @@ bool Network::IsNodeUpAt(NodeId id, SimTime t) const {
 }
 
 bool Network::IsLinkUpAt(NodeId a, NodeId b, SimTime t) const {
-  if (!down_until_.empty()) {
-    auto it = down_until_.find(DirKey(a, b));
-    if (it != down_until_.end() && it->second > t) return false;
-    it = down_until_.find(DirKey(b, a));
-    if (it != down_until_.end() && it->second > t) return false;
-  }
   if (!link_outages_.empty()) {
     auto it = link_outages_.find(DirKey(a, b));
     if (it != link_outages_.end()) {
@@ -400,13 +334,6 @@ void Network::SaveSnapshotState(SnapWriter* w) const {
     }
   }
 
-  const auto down = SortedEntries(down_until_);
-  w->U64(down.size());
-  for (const auto& [key, until] : down) {
-    w->U64(key);
-    w->U64(until);
-  }
-
   w->U64(node_outages_.size());
   for (const auto& plan : node_outages_) {
     w->U64(plan.size());
@@ -433,8 +360,6 @@ void Network::SaveSnapshotState(SnapWriter* w) const {
     w->U64(key);
     w->U64(latency);
   }
-
-  WriteRngState(w, rng_);
 }
 
 Status Network::LoadSnapshotState(SnapReader* r) {
@@ -493,16 +418,6 @@ Status Network::LoadSnapshotState(SnapReader* r) {
     }
   }
 
-  uint64_t down_count;
-  MIND_ASSIGN_OR_RETURN(down_count, r->U64("network.down_until.count"));
-  down_until_.clear();
-  for (uint64_t i = 0; i < down_count; ++i) {
-    uint64_t key, until;
-    MIND_ASSIGN_OR_RETURN(key, r->U64("network.down_until.key"));
-    MIND_ASSIGN_OR_RETURN(until, r->U64("network.down_until.value"));
-    down_until_[key] = until;
-  }
-
   uint64_t plan_nodes;
   MIND_ASSIGN_OR_RETURN(plan_nodes, r->U64("network.node_outages.count"));
   if (plan_nodes > hosts_.size()) {
@@ -549,8 +464,7 @@ Status Network::LoadSnapshotState(SnapReader* r) {
   }
   // Overrides may differ from the construction-time table; invalidate memos.
   ++latency_epoch_;
-
-  return ReadRngState(r, &rng_, "network.rng");
+  return Status::OK();
 }
 
 }  // namespace mind

@@ -17,7 +17,6 @@
 #include "sim/message.h"
 #include "sim/time.h"
 #include "telemetry/telemetry.h"
-#include "util/rng.h"
 
 namespace mind {
 
@@ -54,17 +53,6 @@ struct NetworkOptions {
   /// Local loopback delivery delay (from == to).
   SimTime loopback_delay = 10;  // us
   uint64_t seed = 0x5eed;
-  /// Deterministic-discipline mode (set by Simulator when `threads` or
-  /// `deterministic_discipline` is requested; not meant to be set by hand).
-  /// Under the discipline every random value on the delivery path is a pure
-  /// function of (seed, directed link, per-link send index) instead of a
-  /// shared-stream draw in event-execution order; deliveries are scheduled
-  /// with engine-independent ordering keys; and in-flight loss is resolved at
-  /// send time from the pre-registered failure plan. The same discipline run
-  /// sequentially or sharded across any number of threads produces
-  /// bit-identical state digests. Legacy mode (the default) is byte-for-byte
-  /// the behavior of previous releases.
-  bool discipline = false;
 };
 
 /// \brief The simulated network fabric.
@@ -73,6 +61,13 @@ struct NetworkOptions {
 /// directed link, propagation delay and jitter, then delivers via
 /// Host::HandleMessage. If the link is down or the destination dead, the
 /// sender gets Host::HandleSendFailure after a detection delay.
+///
+/// There is one delivery path for every engine (DESIGN.md §9): jitter is a
+/// pure function of (seed, directed link, per-link send index); deliveries
+/// and failure notices carry engine-independent ordering keys; and liveness
+/// at arrival is resolved at send time from the outage plan. The sequential
+/// engine and the sharded engine at any thread count therefore compute
+/// bit-identical state digests.
 class Network {
  public:
   /// `telemetry` is optional; when set, the fabric records per-send metrics
@@ -103,20 +98,23 @@ class Network {
   /// Sends a message. See class comment for delivery/failure semantics.
   void Send(NodeId from, NodeId to, MessagePtr msg);
 
-  /// Marks a node dead/alive. Dead nodes neither send nor receive; messages
-  /// already in flight toward a node that dies are lost (sender notified).
+  /// Marks a node dead/alive (serial context only). Dead nodes neither send
+  /// nor receive. A message in flight toward a node that dies, whether by
+  /// this call or by a planned outage, is lost, and the sender is notified
+  /// at arrival + Latency(to, from): the connection reset travels back over
+  /// the reverse path.
   void SetNodeUp(NodeId id, bool up);
-  bool IsNodeUp(NodeId id) const;
 
-  /// Takes the (undirected) link down for `duration` from now. Overlapping
-  /// calls extend the outage.
+  /// Takes the (undirected) link down for `duration` from now, as a planned
+  /// outage over [now, now + duration). Outages are a union of intervals, so
+  /// overlapping calls extend the outage and never shrink it.
   void SetLinkDown(NodeId a, NodeId b, SimTime duration);
   bool IsLinkUp(NodeId a, NodeId b) const;
 
-  /// Pre-registers a node outage over [down_at, up_at). Discipline mode: the
-  /// failure plan is immutable while shards execute, so any shard can resolve
-  /// "will the destination be alive at arrival?" at send time without
-  /// cross-shard reads. The node still runs its own timers while planned-down;
+  /// Pre-registers a node outage over [down_at, up_at). The failure plan is
+  /// immutable while shards execute, so any shard can resolve "will the
+  /// destination be alive at arrival?" at send time without cross-shard
+  /// reads. The node still runs its own timers while planned-down;
   /// only network delivery to/from it is suppressed (overlay-level crash
   /// protocols remain a sequential-engine feature).
   void PlanNodeOutage(NodeId id, SimTime down_at, SimTime up_at);
@@ -127,19 +125,24 @@ class Network {
   /// outage covering t. Safe to call from any shard during a parallel phase
   /// (the flag and the plan are both frozen while shards run).
   bool IsNodeUpAt(NodeId id, SimTime t) const;
-  /// Link liveness at `t` (dynamic outages + planned outages, both directions).
+  /// Link liveness at `t`: no planned outage covers t.
   bool IsLinkUpAt(NodeId a, NodeId b, SimTime t) const;
 
-  /// Wires the parallel engine in (Simulator does this); discipline-mode
-  /// sends then route to the destination's shard queue, buffering across
-  /// shard boundaries during a parallel phase. Serial context only.
+  /// Wires the parallel engine in (Simulator does this); sends then route to
+  /// the destination's shard queue, buffering across shard boundaries during
+  /// a parallel phase. Serial context only.
   void set_parallel_engine(ParallelEngine* engine);
   /// The queue that owns `id`'s events: its shard queue under the parallel
   /// engine, the global queue otherwise.
   EventQueue* queue_for(NodeId id) const;
 
-  bool discipline() const { return options_.discipline; }
   bool has_delay_observer() const { return static_cast<bool>(delay_observer_); }
+
+  /// Ordering band (EventQueue::ScheduleAtKeyed) that runs after every
+  /// delivery and failure notice due at the same instant at a host. Plain
+  /// local events (band 0) run before them; a local check that must see
+  /// every notice due at its instant schedules in this band instead.
+  static constexpr uint8_t kBandAfterNetwork = 3;
 
   /// Grows the dense per-host link table to its full host_count x host_count
   /// extent. The parallel engine calls this (in serial context) before every
@@ -165,10 +168,10 @@ class Network {
   EventQueue* events() const { return events_; }
 
   /// Serializes the fabric's mutable state — host up flags and loopback
-  /// counters, per-directed-link FIFO clocks and send counters, dynamic and
-  /// planned outages, latency overrides, and the jitter rng — in canonical
-  /// (sender, destination) order. Latency memos are a pure cache and are not
-  /// saved. Part of the MSN1 snapshot (DESIGN.md §14).
+  /// counters, per-directed-link FIFO clocks and send counters, planned
+  /// outages and latency overrides — in canonical (sender, destination)
+  /// order. Latency memos are a pure cache and are not saved. Part of the
+  /// MSN1 snapshot (DESIGN.md §14).
   void SaveSnapshotState(SnapWriter* w) const;
   /// Restores state saved by SaveSnapshotState into a freshly constructed
   /// fabric with the same registered hosts.
@@ -180,7 +183,7 @@ class Network {
     bool has_position = false;
     GeoPoint position;
     bool up = true;
-    uint64_t loopback_count = 0;  // discipline: keys same-host deliveries
+    uint64_t loopback_count = 0;  // keys same-host deliveries
   };
   // Per-directed-link state. Rows are indexed densely by sender; within a
   // row, destinations live in a sparse open-addressed table (LinkRow below):
@@ -196,7 +199,7 @@ class Network {
   struct alignas(64) LinkState {
     SimTime busy_until = 0;    // FIFO transmit queue tail (directed)
     SimTime last_arrival = 0;  // enforces in-order (TCP-like) delivery
-    uint64_t send_count = 0;   // discipline: per-link RNG counter + ukey
+    uint64_t send_count = 0;   // per-link jitter counter + ukey
     LinkStats stats;
     // Memoized Latency(from, to), valid while latency_epoch matches the
     // network's epoch. Every send used to recompute great-circle trig (or an
@@ -292,7 +295,6 @@ class Network {
     return links_[static_cast<size_t>(from)].FindOrInsert(to);
   }
 
-  SimTime JitterUs();
   // Latency(from, to) through the link's per-epoch memo (see LinkState).
   // The memo is sender-owned like every LinkState field, so shard workers
   // fill it race-free for their own senders.
@@ -303,9 +305,12 @@ class Network {
     }
     return link.cached_latency;
   }
-  // Discipline-mode jitter: pure function of (seed, link, send index).
+  // Jitter: pure function of (seed, link, send index).
   SimTime JitterCounterUs(NodeId from, NodeId to, uint64_t counter) const;
-  void SendDiscipline(NodeId from, NodeId to, MessagePtr msg);
+  // Tells `from`, at time `at`, that its send number `send_ix` to `to` was
+  // lost in flight.
+  void NotifyInFlightLoss(NodeId from, NodeId to, MessagePtr msg, SimTime at,
+                          uint64_t send_ix);
   // Routes a keyed event to `to`'s owning queue, buffering across shard
   // boundaries during a parallel phase.
   void DispatchKeyed(NodeId to, SimTime t, uint8_t band, uint64_t ukey,
@@ -317,7 +322,6 @@ class Network {
 
   EventQueue* events_;
   NetworkOptions options_;
-  Rng rng_;
   ParallelEngine* engine_ = nullptr;
   // Cached instruments (nullptr when constructed without telemetry).
   telemetry::Counter* msgs_counter_ = nullptr;
@@ -329,8 +333,7 @@ class Network {
   telemetry::SimHistogram* delivery_delay_ms_ = nullptr;
   std::vector<HostState> hosts_;
   std::vector<LinkRow> links_;
-  std::unordered_map<uint64_t, SimTime> down_until_;  // dynamic outages
-  std::vector<std::vector<Outage>> node_outages_;     // planned, per node
+  std::vector<std::vector<Outage>> node_outages_;  // planned, per node
   std::unordered_map<uint64_t, std::vector<Outage>> link_outages_;  // planned
   std::unordered_map<uint64_t, SimTime> latency_override_;
   // mind-digest: skip(cache invalidation epoch; latency memos are derived)

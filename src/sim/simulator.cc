@@ -10,8 +10,6 @@ Simulator::Simulator(SimulatorOptions options)
     : telemetry_([this]() { return events_.now(); }), rng_(options.seed) {
   options.network.seed = rng_.Fork(1).Next();
   options.failures.seed = rng_.Fork(2).Next();
-  options.network.discipline =
-      options.threads > 0 || options.deterministic_discipline;
   network_ = std::make_unique<Network>(&events_, options.network, &telemetry_);
   failures_ = std::make_unique<FailureInjector>(&events_, network_.get(),
                                                 options.failures);

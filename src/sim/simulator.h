@@ -21,8 +21,9 @@ struct SimulatorOptions {
   FailureOptions failures;
   uint64_t seed = 0x5eed;
   /// > 0 opts in to the sharded parallel engine with that many worker
-  /// threads (which implies the deterministic discipline below). 0 — the
-  /// default — is the sequential engine, byte-for-byte the legacy behavior.
+  /// threads. 0 — the default — is the sequential engine. Both run the one
+  /// delivery path (Network), so every thread count computes the same
+  /// StateDigest for the same seed.
   int threads = 0;
   /// Shard count for the parallel engine; 0 picks
   /// ParallelEngine::DefaultShardCount() (hardware-derived, floor
@@ -34,11 +35,8 @@ struct SimulatorOptions {
   /// only — digests are identical across policies). kDynamic claims shards
   /// from a shared LPT-ordered list; see ExecutorPolicy for the others.
   ExecutorPolicy executor_policy = ExecutorPolicy::kDynamic;
-  /// Runs the *sequential* engine under the parallel engine's determinism
-  /// discipline (counter-based per-link RNG, keyed event ordering,
-  /// send-time in-flight-loss resolution). Produces the same StateDigest as
-  /// any threads > 0 configuration with the same seed/shards — the
-  /// cross-engine identity check_determinism.sh proves.
+  /// Ignored: every engine runs the one delivery path. Kept only because
+  /// mindbench/src/workloads.cc still assigns it; delete it with that line.
   bool deterministic_discipline = false;
 };
 
@@ -76,10 +74,6 @@ class Simulator {
 
   /// Runs `delta` past the current virtual time.
   size_t RunFor(SimTime delta) { return RunUntil(events_.now() + delta); }
-
-  /// True when the delivery path runs the determinism discipline (threads
-  /// opted in, or deterministic_discipline set).
-  bool discipline() const { return network_->discipline(); }
 
   /// The parallel engine, or nullptr on the sequential path.
   ParallelEngine* parallel_engine() { return engine_.get(); }
@@ -122,9 +116,9 @@ class Simulator {
   }
 
   /// Mixes the engine-independent (time, band, ukey) triples of every
-  /// pending event — across all shard queues, sorted — into `out`. The
-  /// discipline-mode replacement for events().DigestInto (whose per-queue
-  /// sequence numbers differ between engines).
+  /// pending event — across all shard queues, sorted — into `out`. Per-queue
+  /// insertion sequence numbers are left out: they differ between one global
+  /// queue and per-shard queues.
   void DigestEventsKeyed(Fnv64* out) const;
 
  private:

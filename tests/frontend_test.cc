@@ -481,8 +481,11 @@ TEST_F(QueryServiceTest, OverloadRejectsAndQueueDispatchesFifo) {
   Start(qopts);
   Load(8);
   std::vector<uint64_t> finished;  // tickets in completion order
-  auto sink = [&finished](const Delivery& d) {
-    if (d.done) finished.push_back(d.ticket);
+  std::vector<uint64_t> query_ids;  // core query ids of the answered queries
+  auto sink = [&finished, &query_ids](const Delivery& d) {
+    if (!d.done) return;
+    finished.push_back(d.ticket);
+    query_ids.push_back(d.query_id);
   };
   auto r1 = service_->Submit(client_, "index1_fanout", WholeDomain(), sink);
   auto r2 = service_->Submit(client_, "index1_fanout", WholeDomain(), sink);
@@ -502,6 +505,12 @@ TEST_F(QueryServiceTest, OverloadRejectsAndQueueDispatchesFifo) {
   ASSERT_EQ(finished.size(), 2u);
   EXPECT_EQ(finished[0], r1.value().ticket);  // FIFO: first in, first done
   EXPECT_EQ(finished[1], r2.value().ticket);
+  // The final chunk names the core query, so a front-end caller can read the
+  // paper's query cost (distinct nodes visited) for what it was answered.
+  for (uint64_t id : query_ids) {
+    EXPECT_NE(id, 0u);
+    EXPECT_GT(net_->QueryVisitCount(id), 0u) << "query " << id;
+  }
 }
 
 TEST_F(QueryServiceTest, CostGateUsesObservedSelectivity) {

@@ -325,6 +325,27 @@ TEST(OverlayFailureTest, SiblingTakesOverFailedNode) {
   EXPECT_TRUE(fleet.CodesFormCompleteCover());
 }
 
+// A peer can still list a node that never took its code (a join whose
+// commit raced the joiner's timeout). The unjoined node must not answer that
+// peer's heartbeats with its empty code: the peer would adopt it and offer
+// the node to every later joiner as the shallowest parent, which the node
+// refuses, and no further join could succeed.
+TEST(OverlayFailureTest, UnjoinedNodeDoesNotAckHeartbeats) {
+  OverlayOptions opts;
+  opts.heartbeat_interval = FromSeconds(2);
+  OverlayFleet fleet = BuildOverlay(2, opts);
+  ASSERT_EQ(fleet.JoinedCount(), 2u);
+  OverlayNode unjoined(fleet.sim.get(), opts);
+  ASSERT_FALSE(unjoined.joined());
+  Network& net = fleet.sim->network();
+  auto hb = MakeMessage<HeartbeatMsg>();
+  hb->code = fleet[0].code();
+  net.Send(fleet[0].id(), unjoined.id(), hb);
+  fleet.sim->RunFor(FromSeconds(1));
+  EXPECT_EQ(net.GetLinkStats(fleet[0].id(), unjoined.id()).messages, 1u);
+  EXPECT_EQ(net.GetLinkStats(unjoined.id(), fleet[0].id()).messages, 0u);
+}
+
 TEST(OverlayFailureTest, RoutingSurvivesNodeFailure) {
   OverlayOptions opts;
   opts.heartbeat_interval = FromSeconds(2);

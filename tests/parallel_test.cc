@@ -172,26 +172,8 @@ TEST(NetworkTest, SetLinkDownOverlapExtendsOutage) {
   EXPECT_TRUE(sim.network().IsLinkUp(ia, ib));
 }
 
-// Satellite: destination dies while the message is in flight — the sender
-// must get HandleSendFailure (its TCP connection resets), not silence.
-TEST(NetworkTest, InFlightLossNotifiesSenderLegacy) {
-  Simulator sim;
-  TestHost a, b;
-  NodeId ia = sim.network().AddHost(&a);
-  NodeId ib = sim.network().AddHost(&b);
-  sim.network().Send(ia, ib, std::make_shared<PingMsg>());
-  // Default latency is 20 ms; kill the destination at 5 ms, mid-flight.
-  sim.events().ScheduleAt(FromMillis(5), [&] { sim.network().SetNodeUp(ib, false); });
-  sim.Run();
-  EXPECT_TRUE(b.delivered_from.empty());
-  ASSERT_EQ(a.failed_to.size(), 1u);
-  EXPECT_EQ(a.failed_to[0], ib);
-}
-
 TEST(NetworkTest, InFlightLossNotifiesSenderDiscipline) {
-  SimulatorOptions opts;
-  opts.deterministic_discipline = true;
-  Simulator sim(opts);
+  Simulator sim;
   TestHost a, b;
   NodeId ia = sim.network().AddHost(&a);
   NodeId ib = sim.network().AddHost(&b);
@@ -206,9 +188,7 @@ TEST(NetworkTest, InFlightLossNotifiesSenderDiscipline) {
 }
 
 TEST(NetworkTest, PlannedOutageLivenessWindows) {
-  SimulatorOptions opts;
-  opts.deterministic_discipline = true;
-  Simulator sim(opts);
+  Simulator sim;
   TestHost a, b;
   NodeId ia = sim.network().AddHost(&a);
   NodeId ib = sim.network().AddHost(&b);
@@ -246,13 +226,15 @@ TEST(NetworkDeathTest, SetDelayObserverDuringParallelPhaseAborts) {
 // --------------------------------------------------------- parallel engine
 
 // A ping-pong fleet: every host forwards each received message to the next
-// host until its hop budget is spent, logging (from, virtual time) locally.
+// host until its hop budget is spent, logging (from, virtual time) locally,
+// and logs send failures as (to, virtual time).
 struct RelayHost : Host {
   Simulator* sim = nullptr;
   NodeId id = kInvalidNode;
   int remaining = 0;
   size_t fleet = 0;
   std::vector<std::pair<NodeId, SimTime>> log;
+  std::vector<std::pair<NodeId, SimTime>> failed;
 
   void HandleMessage(NodeId from, const MessagePtr& msg) override {
     log.emplace_back(from, sim->queue_for(id)->now());
@@ -260,13 +242,15 @@ struct RelayHost : Host {
     NodeId next = static_cast<NodeId>((id + 1) % static_cast<NodeId>(fleet));
     sim->network().Send(id, next, msg);
   }
+  void HandleSendFailure(NodeId to, const MessagePtr&) override {
+    failed.emplace_back(to, sim->queue_for(id)->now());
+  }
 };
 
 // Runs the relay workload and returns every host's delivery log.
 std::vector<std::vector<std::pair<NodeId, SimTime>>> RunRelay(
     int threads, ExecutorPolicy policy = ExecutorPolicy::kDynamic) {
   SimulatorOptions opts;
-  opts.deterministic_discipline = threads == 0;
   opts.threads = threads;
   opts.executor_policy = policy;
   Simulator sim(opts);
@@ -293,7 +277,7 @@ std::vector<std::vector<std::pair<NodeId, SimTime>>> RunRelay(
 }
 
 TEST(ParallelEngineTest, RelayIdenticalAcrossEnginesAndThreadCounts) {
-  auto serial = RunRelay(0);  // sequential engine, discipline on
+  auto serial = RunRelay(0);  // sequential engine
   size_t delivered = 0;
   for (const auto& log : serial) delivered += log.size();
   EXPECT_GT(delivered, 100u);  // the workload actually ran
@@ -419,15 +403,17 @@ struct MindRunResult {
 };
 
 // A small end-to-end MIND deployment: build, index, inserts, settling — then
-// the state digest. `threads == 0` is the sequential engine under the
-// discipline; anything else the sharded parallel engine.
+// the state digest. `threads == 0` is the sequential engine; anything else
+// the sharded parallel engine. A `victim` is killed from serial context
+// after a third of the inserts, with traffic in flight, and revived after
+// two thirds.
 MindRunResult RunMindWorkload(int threads, bool with_failures,
-                              ExecutorPolicy policy = ExecutorPolicy::kDynamic) {
+                              ExecutorPolicy policy = ExecutorPolicy::kDynamic,
+                              NodeId victim = kInvalidNode) {
   MindNetOptions opts;
   opts.sim.seed = 0xfeed;
   opts.sim.threads = threads;
   opts.sim.executor_policy = policy;
-  opts.sim.deterministic_discipline = threads == 0;
   if (with_failures) {
     opts.sim.failures.link_flaps_per_pair_hour = 2.0;
     opts.sim.failures.node_crashes_per_hour = 0.0;  // planned blackouts only
@@ -443,6 +429,9 @@ MindRunResult RunMindWorkload(int threads, bool with_failures,
   if (with_failures) net.sim().failures().Start(FromSeconds(120));
   Rng rng(7);
   for (uint64_t i = 0; i < 120; ++i) {
+    if (victim != kInvalidNode && (i == 40 || i == 80)) {
+      net.network().SetNodeUp(victim, i == 80);
+    }
     Tuple t = ParallelTuple(&rng, kFleet, i);
     size_t src = rng.Uniform(kFleet);
     EXPECT_TRUE(net.node(src).Insert("par_idx", std::move(t)).ok());
@@ -483,6 +472,104 @@ TEST(ParallelEngineTest, MindNetDigestIdenticalUnderPlannedFailures) {
     MindRunResult par = RunMindWorkload(threads, true);
     EXPECT_EQ(par.digest, serial.digest) << "threads=" << threads;
     EXPECT_EQ(par.latencies, serial.latencies) << "threads=" << threads;
+  }
+}
+
+// ------------------------------------------------ dynamic in-flight death
+
+// The overlay reacts to each in-flight loss notice (HandleSendFailure); that
+// reaction must leave the same state on every engine.
+TEST(ParallelEngineTest, MindNetDigestIdenticalAfterDynamicDeath) {
+  MindRunResult serial =
+      RunMindWorkload(0, false, ExecutorPolicy::kDynamic, /*victim=*/3);
+  for (int threads : {1, 2, 4}) {
+    MindRunResult par =
+        RunMindWorkload(threads, false, ExecutorPolicy::kDynamic, 3);
+    EXPECT_EQ(par.digest, serial.digest) << "threads=" << threads;
+    EXPECT_EQ(par.stored, serial.stored) << "threads=" << threads;
+    EXPECT_EQ(par.latencies, serial.latencies) << "threads=" << threads;
+  }
+}
+
+struct DeathRun {
+  std::vector<std::vector<std::pair<NodeId, SimTime>>> delivered;
+  std::vector<std::vector<std::pair<NodeId, SimTime>>> failed;
+  std::vector<uint64_t> digests;  // keyed pending-event digest per step
+  bool operator==(const DeathRun&) const = default;
+};
+
+// At 1 ms every host sends three messages to the victim and one to its
+// neighbour; at 5 ms, between RunUntil steps, the victim is killed from
+// serial context while all of them are in flight, mostly across shards.
+// After 200 ms it is revived and every host sends to it once more.
+DeathRun RunInFlightDeath(int threads) {
+  SimulatorOptions opts;
+  opts.threads = threads;
+  opts.shards = 4;
+  Simulator sim(opts);
+  constexpr NodeId kFleet = 12;
+  constexpr NodeId kVictim = 5;
+  std::vector<std::unique_ptr<RelayHost>> hosts;
+  for (NodeId i = 0; i < kFleet; ++i) {
+    auto h = std::make_unique<RelayHost>();
+    h->sim = &sim;
+    h->id = sim.network().AddHost(h.get());
+    hosts.push_back(std::move(h));
+  }
+  auto volley = [&sim](SimTime at, int to_victim) {
+    for (NodeId i = 0; i < kFleet; ++i) {
+      if (i == kVictim) continue;
+      sim.ScheduleOn(i, at, [&sim, i, to_victim] {
+        for (int k = 0; k < to_victim; ++k) {
+          sim.network().Send(i, kVictim, std::make_shared<PingMsg>());
+        }
+        sim.network().Send(i, (i + 1) % kFleet, std::make_shared<PingMsg>());
+      });
+    }
+  };
+  DeathRun r;
+  auto digest = [&sim, &r] {
+    Fnv64 d;
+    sim.DigestEventsKeyed(&d);
+    r.digests.push_back(d.value());
+  };
+  volley(FromMillis(1), 3);
+  sim.RunUntil(FromMillis(5));
+  sim.network().SetNodeUp(kVictim, false);
+  digest();
+  sim.RunUntil(FromMillis(200));
+  digest();
+  sim.network().SetNodeUp(kVictim, true);
+  volley(FromMillis(201), 1);
+  sim.Run();
+  digest();
+  for (auto& h : hosts) {
+    r.delivered.push_back(h->log);
+    r.failed.push_back(h->failed);
+  }
+  return r;
+}
+
+TEST(ParallelEngineTest, InFlightDeathNotifiesSendersOnEveryEngine) {
+  const DeathRun serial = RunInFlightDeath(0);
+  size_t failures = 0;
+  for (NodeId i = 0; i < 12; ++i) {
+    for (const auto& [to, at] : serial.failed[i]) {
+      EXPECT_EQ(to, 5);
+      // The reset travels back over the reverse path after the arrival.
+      EXPECT_GE(at, FromMillis(40));
+      ++failures;
+    }
+  }
+  // 11 senders x 3 messages, plus host 4's neighbour message to the victim.
+  EXPECT_EQ(failures, 34u);
+  // Nothing sent before the death arrives; all 12 of the second volley do.
+  EXPECT_EQ(serial.delivered[5].size(), 12u);
+  for (const auto& [from, at] : serial.delivered[5]) {
+    EXPECT_GT(at, FromMillis(201));
+  }
+  for (int threads : {1, 2, 4}) {
+    EXPECT_TRUE(RunInFlightDeath(threads) == serial) << "threads=" << threads;
   }
 }
 
@@ -582,7 +669,6 @@ std::vector<Completion> RunCompletionWorkload(int threads,
   opts.sim.seed = 0xfeed;
   opts.sim.threads = threads;
   opts.sim.executor_policy = policy;
-  opts.sim.deterministic_discipline = threads == 0;
   const size_t kFleet = 16;
   MindNet net(kFleet, opts);
   EXPECT_TRUE(net.Build().ok());

@@ -196,6 +196,128 @@ TEST(TakeoverRegressionTest, SiblingPairDeathEventuallyRecovered) {
       << "dead sibling pair's region was never absorbed";
 }
 
+// Recursive takeover relabels the all-zeros node Z = x0... of a vacancy's
+// sibling subtree x into the vacancy x' = sibling(x). These helpers find
+// such a Z in a 32-node overlay; `leaf_sibling` asks for Z = x00 with leaf
+// siblings Y = x01 and S = x1, otherwise for Z = x0 whose sibling x1 is a
+// subtree. The smallest x' wins, and the tests kill all of it.
+struct RelabelShape {
+  int z = -1, y = -1, s = -1;
+  BitCode x;
+  std::vector<size_t> doomed;  // the x' subtree
+};
+
+RelabelShape FindRelabelShape(MindNet& net, bool leaf_sibling) {
+  auto holder = [&](const BitCode& c) {
+    for (size_t i = 0; i < net.size(); ++i) {
+      if (net.node(i).overlay().code() == c) return static_cast<int>(i);
+    }
+    return -1;
+  };
+  RelabelShape best;
+  for (size_t i = 1; i < net.size(); ++i) {
+    const BitCode c = net.node(i).overlay().code();
+    const int len = c.length();
+    if (len < 3 || c.bit(len - 1) != 0) continue;
+    RelabelShape cand;
+    cand.z = static_cast<int>(i);
+    if (leaf_sibling) {
+      if (c.bit(len - 2) != 0) continue;
+      cand.x = c.Prefix(len - 2);
+      cand.y = holder(cand.x.Child(0).Child(1));
+      cand.s = holder(cand.x.Child(1));
+      if (cand.y < 0 || cand.s < 0) continue;
+    } else {
+      if (holder(c.Sibling()) >= 0) continue;
+      cand.x = c.Parent();
+    }
+    for (size_t j = 0; j < net.size(); ++j) {
+      if (cand.x.Sibling().IsPrefixOf(net.node(j).overlay().code())) {
+        cand.doomed.push_back(j);
+      }
+    }
+    if (best.z < 0 || cand.doomed.size() < best.doomed.size()) best = cand;
+  }
+  return best;
+}
+
+MindNetOptions RelabelOptions() {
+  MindNetOptions opts;
+  opts.sim.seed = 5;
+  opts.overlay.heartbeat_interval = FromSeconds(2);
+  opts.mind.replication = 1;
+  return opts;
+}
+
+TEST(TakeoverRegressionTest, RelabeledNodesDataFollowsTheSlotItLeaves) {
+  // Z = x00's only replica holder is its leaf sibling Y. Killing Y and x'
+  // makes Z absorb Y (Z = x0), then relabel into x' while S = x1 absorbs x.
+  // Z's data (its primaries and Y's replicas) must follow to S; without the
+  // handoff S took x over empty and queries into x0 came back with nothing.
+  MindNet net(32, RelabelOptions());
+  ASSERT_TRUE(net.Build().ok());
+  const RelabelShape sh = FindRelabelShape(net, /*leaf_sibling=*/true);
+  ASSERT_GE(sh.z, 0) << "no Z/Y/S shape in this overlay";
+  IndexDef def = SmallDef();
+  auto cuts = std::make_shared<CutTree>(CutTree::Even(def.schema));
+  ASSERT_TRUE(net.CreateIndexEverywhere(def, cuts).ok());
+  Rng rng(99);
+  std::set<uint64_t> expected;
+  for (int holder : {sh.z, sh.y}) {
+    auto r = cuts->RectForCode(net.node(holder).overlay().code());
+    ASSERT_TRUE(r.has_value());
+    for (int k = 0; k < 40; ++k) {
+      Tuple t;
+      for (int d = 0; d < r->dims(); ++d) {
+        t.point.push_back(rng.UniformRange(r->interval(d).lo, r->interval(d).hi));
+      }
+      t.origin = sh.s;
+      t.seq = expected.size();
+      expected.insert(t.seq);
+      ASSERT_TRUE(net.node(sh.s).Insert("reg", t).ok());
+    }
+  }
+  net.sim().RunFor(FromSeconds(30));
+
+  net.node(sh.y).Crash();
+  for (size_t w : sh.doomed) net.node(w).Crash();
+  net.sim().RunFor(FromSeconds(120));
+  ASSERT_EQ(net.node(sh.z).overlay().code(), sh.x.Sibling()) << "no relabel";
+  ASSERT_EQ(net.node(sh.s).overlay().code(), sh.x) << "S did not absorb x";
+
+  std::optional<QueryResult> res;
+  ASSERT_TRUE(net.node(sh.s)
+                  .Query("reg", *cuts->RectForCode(sh.x.Child(0)),
+                         [&](const QueryResult& r) { res = r; })
+                  .ok());
+  net.sim().RunFor(FromSeconds(60));
+  ASSERT_TRUE(res.has_value());
+  EXPECT_TRUE(res->complete);
+  std::set<uint64_t> got;
+  for (const auto& t : res->tuples) got.insert(t.seq);
+  EXPECT_EQ(got, expected);
+}
+
+TEST(TakeoverRegressionTest, RelabelNeedsAnExactSiblingHeir) {
+  // Z = x0's sibling x1 is a subtree. Only an exact sibling absorbs a
+  // relabeled slot, so relabeling Z into a dead x' would leave x0 with no
+  // owner, trading one hole for another. Z and all of x must stay put.
+  MindNet net(32, RelabelOptions());
+  ASSERT_TRUE(net.Build().ok());
+  const RelabelShape sh = FindRelabelShape(net, /*leaf_sibling=*/false);
+  ASSERT_GE(sh.z, 0) << "no Z shape in this overlay";
+  std::vector<std::pair<size_t, BitCode>> under_x;
+  for (size_t j = 0; j < net.size(); ++j) {
+    const BitCode& c = net.node(j).overlay().code();
+    if (sh.x.IsPrefixOf(c)) under_x.emplace_back(j, c);
+  }
+  for (size_t w : sh.doomed) net.node(w).Crash();
+  net.sim().RunFor(FromSeconds(120));
+  for (const auto& [j, code] : under_x) {
+    EXPECT_EQ(net.node(j).overlay().code(), code) << "node " << j << " moved";
+  }
+}
+
 TEST(RebalanceRegressionTest, TimeShiftedCutsServeTheNextDay) {
   // Without the one-day time shift, every next-day tuple lands on the high
   // side of every time cut and storage re-concentrates.

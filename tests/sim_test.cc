@@ -369,15 +369,22 @@ TEST(FailureInjectorTest, NodeChurnFiresCallbacksAndRestoresNodes) {
   fopts.mean_downtime = FromSeconds(30);
   fopts.seed = 2;
   FailureInjector inj(&q, &net, fopts);
-  int crashes = 0, revives = 0;
-  inj.set_on_crash([&](NodeId) { ++crashes; });
-  inj.set_on_revive([&](NodeId) { ++revives; });
+  std::vector<std::pair<NodeId, SimTime>> crashes, revives;
+  inj.set_on_crash([&](NodeId id) { crashes.emplace_back(id, q.now()); });
+  inj.set_on_revive([&](NodeId id) { revives.emplace_back(id, q.now()); });
   inj.Start(FromSeconds(3600));
   EXPECT_GT(inj.scheduled_crashes(), 0u);
   q.Run();
-  EXPECT_GT(crashes, 0);
-  EXPECT_EQ(crashes, revives);
-  for (NodeId i = 0; i < 4; ++i) EXPECT_TRUE(net.IsNodeUp(i));
+  EXPECT_GT(crashes.size(), 0u);
+  EXPECT_EQ(crashes.size(), revives.size());
+  // Crashes are planned outages: the node is down from its crash instant up
+  // to (not including) its revive instant, and up again from then on.
+  for (const auto& [id, t] : crashes) EXPECT_FALSE(net.IsNodeUpAt(id, t));
+  for (const auto& [id, t] : revives) {
+    EXPECT_FALSE(net.IsNodeUpAt(id, t - 1));
+    EXPECT_TRUE(net.IsNodeUpAt(id, t));
+  }
+  for (NodeId i = 0; i < 4; ++i) EXPECT_TRUE(net.IsNodeUpAt(i, q.now()));
 }
 
 TEST(FailureInjectorTest, ChurnRestriction) {

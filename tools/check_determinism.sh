@@ -3,32 +3,25 @@
 #
 # Builds the repo twice -- telemetry ON (the default) and telemetry OFF --
 # and runs tools/determinism_probe in each configuration. The probe prints
-# `state_digest <hex16>` after a fixed seeded scenario; this script fails if
-#   (a) two runs of the same binary disagree (nondeterminism within a build:
-#       wall-clock leak, unseeded randomness, unordered-container ordering), or
-#   (b) the telemetry-ON and telemetry-OFF digests disagree (telemetry
-#       recording changed simulation behaviour), or
-#   (c) the sequential engine under the determinism discipline
-#       (`--discipline`) and the sharded parallel engine at worker thread
-#       counts 1, 2, 4 and 8 (`--threads=N`) disagree with each other
-#       (engine identity: the parallel engine must compute the exact same
-#       world as the sequential discipline it refines), or
-#   (d) the front-end-driven scenario (`--frontend`: streaming ingest +
-#       admission-controlled query service) disagrees run to run or across
-#       MIND_TELEMETRY settings, or
-#   (e) any index backend (MIND_BACKEND=sorted|bitmap|adaptive) disagrees
-#       with the default run, or the legacy digest drifts from its pinned
-#       value -- backends are physical layout only (docs/BACKENDS.md) and
-#       must be invisible to the simulation, or
-#   (f) the pinned legacy digest fails to survive an MSN1 snapshot
-#       save/load cycle (`--snapshot-roundtrip`: the restore's internal
-#       digest gate plus the printed pre-snapshot digest), serial and
-#       parallel -- week-long campaigns must resume bit-identically.
-#
-# The flagless (legacy-mode) digest is intentionally distinct from the
-# discipline digest: the discipline switches jitter to counter-based per-link
-# RNG streams and keyed event ordering. Checks (a)/(b) pin the legacy digest;
-# check (c) pins the engine family to one another.
+# `state_digest <hex16>` after a fixed seeded scenario. One digest is pinned
+# (PINNED below), and this script fails unless every one of these prints it:
+#   (a) two runs of the sequential engine in the same build (nondeterminism
+#       within a build: wall-clock leak, unseeded randomness,
+#       unordered-container ordering), and one in the telemetry-OFF build
+#       (telemetry recording must not change simulation behaviour);
+#   (b) the sharded parallel engine at worker thread counts 1, 2, 4 and 8
+#       (`--threads=N`; engine identity: every engine runs the one delivery
+#       path, so each computes the exact same world);
+#   (c) every index backend (MIND_BACKEND=sorted|bitmap|adaptive) --
+#       backends are physical layout only (docs/BACKENDS.md) and must be
+#       invisible to the simulation;
+#   (d) an MSN1 snapshot save/load cycle (`--snapshot-roundtrip`: the
+#       restore's internal digest gate plus the printed pre-snapshot
+#       digest), sequential and at threads=4 -- week-long campaigns must
+#       resume bit-identically.
+# Separately, (e) the front-end-driven scenario (`--frontend`: streaming
+# ingest + admission-controlled query service) must agree run to run and
+# across MIND_TELEMETRY settings.
 #
 # Usage: tools/check_determinism.sh [build-dir]   (default: build-determinism)
 set -euo pipefail
@@ -55,29 +48,46 @@ echo "== configure + build (telemetry OFF) =="
 cmake -B "${BUILD}/off" -S . -DMIND_TELEMETRY=OFF >/dev/null
 cmake --build "${BUILD}/off" --target determinism_probe -j >/dev/null
 
-run1="$(digest "${BUILD}/on/tools/determinism_probe")"
-run2="$(digest "${BUILD}/on/tools/determinism_probe")"
-run_off="$(digest "${BUILD}/off/tools/determinism_probe")"
-
-echo "run 1 (telemetry on):  ${run1}"
-echo "run 2 (telemetry on):  ${run2}"
-echo "run 3 (telemetry off): ${run_off}"
-
+PINNED="83a37054ff6b7be4"
+probe="${BUILD}/on/tools/determinism_probe"
 fail=0
-if [[ "${run1}" != "${run2}" ]]; then
-  echo "FAIL: two runs of the same binary diverged -- the simulation is" \
-       "nondeterministic (check mind_lint and recent unordered iteration)" >&2
-  fail=1
-fi
-if [[ "${run1}" != "${run_off}" ]]; then
-  echo "FAIL: telemetry ON and OFF builds diverged -- some recording call" \
-       "changes simulation state (telemetry must be observation-only)" >&2
-  fail=1
-fi
+
+check() {  # check <label> <digest>
+  printf '%-30s %s\n' "$1:" "$2"
+  if [[ "$2" != "${PINNED}" ]]; then
+    echo "FAIL: $1 printed $2, not the pinned ${PINNED} -- the replay" \
+         "changed behaviour or an engine/build/backend leg diverged" >&2
+    fail=1
+  fi
+}
+
+echo "== replay (pinned ${PINNED}) =="
+check "run 1 (telemetry on)" "$(digest "${probe}")"
+check "run 2 (telemetry on)" "$(digest "${probe}")"
+check "run 3 (telemetry off)" "$(digest "${BUILD}/off/tools/determinism_probe")"
+
+echo
+echo "== engine identity (parallel thread counts) =="
+for t in 1 2 4 8; do
+  check "threads=${t}" "$(digest "${probe}" --threads="${t}")"
+done
+
+echo
+echo "== backend identity (MIND_BACKEND replay legs) =="
+for b in sorted bitmap adaptive; do
+  check "MIND_BACKEND=${b}" "$(MIND_BACKEND="${b}" digest "${probe}")"
+done
+
+echo
+echo "== snapshot roundtrip (MSN1 save/load must preserve the digest) =="
+check "serial through save/load" "$(digest "${probe}" --snapshot-roundtrip)"
+check "threads=4 through save/load" \
+      "$(digest "${probe}" --threads=4 --snapshot-roundtrip)"
+
 echo
 echo "== front-end replay (ingest pipeline + admission-controlled queries) =="
-fe1="$(digest "${BUILD}/on/tools/determinism_probe" --frontend)"
-fe2="$(digest "${BUILD}/on/tools/determinism_probe" --frontend)"
+fe1="$(digest "${probe}" --frontend)"
+fe2="$(digest "${probe}" --frontend)"
 fe_off="$(digest "${BUILD}/off/tools/determinism_probe" --frontend)"
 echo "frontend run 1 (telemetry on):  ${fe1}"
 echo "frontend run 2 (telemetry on):  ${fe2}"
@@ -93,62 +103,8 @@ if [[ "${fe1}" != "${fe_off}" ]]; then
   fail=1
 fi
 
-echo
-echo "== backend identity (MIND_BACKEND replay legs) =="
-# The refactor that introduced the backend seam must never move the legacy
-# digest: pin it, then replay once per backend and require bit-identity.
-PINNED="5a64d0dabbca0731"
-if [[ "${run1}" != "${PINNED}" ]]; then
-  echo "FAIL: legacy digest ${run1} != pinned ${PINNED} -- the default" \
-       "replay changed behaviour (not just layout)" >&2
-  fail=1
-fi
-for b in sorted bitmap adaptive; do
-  db="$(MIND_BACKEND="${b}" digest "${BUILD}/on/tools/determinism_probe")"
-  echo "MIND_BACKEND=${b}:  ${db}"
-  if [[ "${db}" != "${run1}" ]]; then
-    echo "FAIL: backend '${b}' diverged from the default replay digest --" \
-         "an IndexBackend leaked layout into simulation-visible state" \
-         "(scan counters, reply content, or digest folds)" >&2
-    fail=1
-  fi
-done
-
-echo
-echo "== engine identity (sequential discipline vs parallel thread counts) =="
-probe="${BUILD}/on/tools/determinism_probe"
-disc="$(digest "${probe}" --discipline)"
-echo "discipline (serial): ${disc}"
-for t in 1 2 4 8; do
-  dt="$(digest "${probe}" --threads="${t}")"
-  echo "threads=${t}:           ${dt}"
-  if [[ "${dt}" != "${disc}" ]]; then
-    echo "FAIL: parallel engine at ${t} thread(s) diverged from the" \
-         "sequential discipline digest -- a shard executed something the" \
-         "conservative window should have forbidden" >&2
-    fail=1
-  fi
-done
-
-echo
-echo "== snapshot roundtrip (MSN1 save/load must preserve the digests) =="
-snap="$(digest "${probe}" --snapshot-roundtrip)"
-echo "legacy through save/load:     ${snap}"
-if [[ "${snap}" != "${PINNED}" ]]; then
-  echo "FAIL: legacy digest ${snap} != pinned ${PINNED} after a snapshot" \
-       "save/load cycle -- the MSN1 format dropped or distorted state" >&2
-  fail=1
-fi
-snap_par="$(digest "${probe}" --threads=4 --snapshot-roundtrip)"
-echo "threads=4 through save/load:  ${snap_par}"
-if [[ "${snap_par}" != "${disc}" ]]; then
-  echo "FAIL: parallel digest ${snap_par} != engine digest ${disc} after a" \
-       "snapshot save/load cycle" >&2
-  fail=1
-fi
-
 if [[ "${fail}" -ne 0 ]]; then
   exit 1
 fi
 echo
-echo "OK: deterministic replay verified (legacy ${run1}, engine ${disc})"
+echo "OK: deterministic replay verified (pinned ${PINNED})"
