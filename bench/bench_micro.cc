@@ -15,6 +15,7 @@
 #include "storage/index_backend.h"
 #include "storage/scan_kernels.h"
 #include "storage/tuple_store.h"
+#include "traffic/flow_generator.h"
 #include "util/bitcode.h"
 #include "util/rng.h"
 
@@ -505,6 +506,27 @@ void BM_Mismatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Mismatch);
+
+// Prefix-popularity draws at backbone_day's universe (34 routers x 8).
+void BM_ZipfSample(benchmark::State& state) {
+  ZipfSampler zipf(272, 0.9);
+  Rng rng(12);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(&rng));
+  }
+}
+BENCHMARK(BM_ZipfSample);
+
+// One 60 s busy-hour window of the default Abilene+GEANT trace.
+void BM_FlowGenerate(benchmark::State& state) {
+  FlowGenerator gen(Topology::AbileneGeant(), FlowGeneratorOptions{});
+  int64_t records = 0;
+  for (auto _ : state) {
+    gen.Generate(0, 39600, 39660, [&records](const FlowRecord&) { ++records; });
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_FlowGenerate)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace mind

@@ -7,6 +7,13 @@
 
 namespace mind {
 
+namespace {
+// The chance that packet sampling at rate p reports a flow of k raw packets.
+double KeepProbability(double p, uint32_t packets) {
+  return 1.0 - std::pow(1.0 - p, static_cast<double>(packets));
+}
+}  // namespace
+
 FlowGenerator::FlowGenerator(const Topology& topology,
                              FlowGeneratorOptions options)
     : topology_(topology),
@@ -28,6 +35,27 @@ FlowGenerator::FlowGenerator(const Topology& topology,
     IpAddr a = 10u + static_cast<IpAddr>((i * 37) % 180);
     IpAddr b = static_cast<IpAddr>((i * 151) % 256);
     prefixes_.emplace_back((a << 24) | (b << 16), options.prefix_len);
+  }
+
+  // A hot-set destination probes forward from a uniform pick to the first
+  // hot prefix; precompute every pick's answer for every hour.
+  hot_next_.resize(24 * n);
+  for (int hour = 0; hour < 24; ++hour) {
+    uint32_t* next = &hot_next_[static_cast<size_t>(hour) * n];
+    size_t nearest = n;  // first hot prefix at or after i, wrapping; n = none
+    for (size_t i = 0; i < n && nearest == n; ++i) {
+      if (InHotSet(i, hour)) nearest = i;
+    }
+    for (size_t i = n; i-- > 0;) {
+      if (InHotSet(i, hour)) nearest = i;
+      next[i] = static_cast<uint32_t>(nearest == n ? i : nearest);
+    }
+  }
+
+  for (Backbone b : {Backbone::kAbilene, Backbone::kGeant}) {
+    const double p = Topology::SamplingRate(b);
+    auto& keep = keep_by_packets_[static_cast<size_t>(b)];
+    for (uint32_t k = 0; k < kKeepMemo; ++k) keep[k] = KeepProbability(p, k);
   }
 }
 
@@ -78,7 +106,7 @@ size_t FlowGenerator::RankOnDay(int day, size_t prefix_idx) {
   return 0;
 }
 
-double FlowGenerator::HourNoise(int day, int router, int hour) {
+double FlowGenerator::HourNoise(int day, int router, int hour) const {
   // Deterministic per-(day, router, hour) log-normal multiplier.
   uint64_t key = (static_cast<uint64_t>(day) << 32) ^
                  (static_cast<uint64_t>(router) << 8) ^
@@ -92,8 +120,12 @@ void FlowGenerator::Generate(
     const std::function<void(const FlowRecord&)>& emit) {
   MIND_CHECK(t0_sec >= 0 && t1_sec <= 86400.0 && t0_sec <= t1_sec);
   const auto& perm = DayPermutation(day);
-  uint64_t window_key = (static_cast<uint64_t>(day) << 20) ^
-                        (static_cast<uint64_t>(t0_sec * 16));
+  // From t0 = 65536 s (18:12:16) on, t0 * 16 reaches the day bits; those
+  // windows also set bit 48, so no two (day, t0) share a stream while every
+  // earlier window keeps its key.
+  const uint64_t t0_key = static_cast<uint64_t>(t0_sec * 16);
+  uint64_t window_key = (static_cast<uint64_t>(day) << 20) ^ t0_key;
+  if (t0_key >= (uint64_t{1} << 20)) window_key |= uint64_t{1} << 48;
   Rng rng = Rng(options_.seed).Fork(0xF70 ^ window_key);
 
   // Generate flow arrivals router by router (arrivals are attributed to the
@@ -103,9 +135,15 @@ void FlowGenerator::Generate(
   for (size_t r = 0; r < n_routers; ++r) {
     double rate = options_.peak_flows_per_router_sec;
     double t = t0_sec;
+    int noise_hour = -1;
+    double noise = 0.0;
     while (t < t1_sec) {
       int hour = static_cast<int>(t / 3600.0);
-      double level = diurnal_.At(t) * HourNoise(day, static_cast<int>(r), hour);
+      if (hour != noise_hour) {
+        noise = HourNoise(day, static_cast<int>(r), hour);
+        noise_hour = hour;
+      }
+      double level = diurnal_.At(t) * noise;
       double lambda = std::max(1e-6, rate * level);
       t += rng.Exponential(lambda);
       if (t >= t1_sec) break;
@@ -131,14 +169,8 @@ void FlowGenerator::Generate(
       size_t dst_idx;
       if (rng.Bernoulli(options_.hot_set_fraction)) {
         size_t pick = rng.Uniform(prefixes_.size());
-        for (size_t probe = 0; probe < prefixes_.size(); ++probe) {
-          size_t candidate = (pick + probe) % prefixes_.size();
-          if (InHotSet(candidate, hour)) {
-            pick = candidate;
-            break;
-          }
-        }
-        dst_idx = pick;
+        dst_idx =
+            hot_next_[static_cast<size_t>(hour) * prefixes_.size() + pick];
       } else {
         dst_idx = perm[popularity_.Sample(&rng)];
       }
@@ -172,8 +204,12 @@ void FlowGenerator::Generate(
       int n_obs = observers[0] == observers[1] ? 1 : 2;
       for (int o = 0; o < n_obs; ++o) {
         int router = observers[o];
-        double p = Topology::SamplingRate(topology_.router(router).backbone);
-        double keep = 1.0 - std::pow(1.0 - p, static_cast<double>(raw_packets));
+        const Backbone backbone = topology_.router(router).backbone;
+        double p = Topology::SamplingRate(backbone);
+        double keep =
+            raw_packets < kKeepMemo
+                ? keep_by_packets_[static_cast<size_t>(backbone)][raw_packets]
+                : KeepProbability(p, raw_packets);
         if (!rng.Bernoulli(keep)) continue;
         FlowRecord obs = f;
         obs.router = router;

@@ -14,6 +14,7 @@
 #ifndef MIND_TRAFFIC_FLOW_GENERATOR_H_
 #define MIND_TRAFFIC_FLOW_GENERATOR_H_
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -93,8 +94,12 @@ class FlowGenerator {
   bool InHotSet(size_t prefix_idx, int hour) const;
 
  private:
+  // Flows of fewer raw packets than this read their keep probability from
+  // keep_by_packets_.
+  static constexpr uint32_t kKeepMemo = 64;
+
   const std::vector<size_t>& DayPermutation(int day);
-  double HourNoise(int day, int router, int hour);
+  double HourNoise(int day, int router, int hour) const;
 
   Topology topology_;
   FlowGeneratorOptions options_;
@@ -105,6 +110,12 @@ class FlowGenerator {
   std::vector<std::vector<size_t>> day_perms_;
   std::vector<uint16_t> common_ports_;
   ZipfSampler port_popularity_;
+  // hot_next_[hour * prefix_count() + pick] = the first prefix at or after
+  // `pick` (wrapping) in the hour's hot set, or `pick` if the set is empty.
+  std::vector<uint32_t> hot_next_;
+  // keep_by_packets_[backbone][k] = 1 - (1 - p)^k, p the backbone's packet
+  // sampling rate: the chance a k-packet flow is reported at all.
+  std::array<std::array<double, kKeepMemo>, 2> keep_by_packets_;
 };
 
 }  // namespace mind

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -183,13 +182,28 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
     cdf_[i] = sum;
   }
   for (auto& c : cdf_) c /= sum;
+
+  MIND_CHECK_LT(n, size_t{1} << 28);
+  size_t m = 1;
+  while (m < 4 * n) m <<= 1;
+  guide_.resize(m);
+  size_t rank = 0;
+  for (size_t j = 0; j < m; ++j) {
+    const double lo = static_cast<double>(j) / static_cast<double>(m);
+    while (rank < n && cdf_[rank] < lo) ++rank;
+    guide_[j] = static_cast<uint32_t>(rank);
+  }
 }
 
-size_t ZipfSampler::Sample(Rng* rng) const {
-  double u = rng->UniformDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<size_t>(it - cdf_.begin());
+size_t ZipfSampler::Rank(double u) const {
+  // j = floor(u * m) is exact, so j / m <= u: no rank before guide_[j] can
+  // have cdf >= u, and the scan forward ends at std::lower_bound's answer.
+  // With m >= 4n the scan is about one step on average.
+  const size_t n = cdf_.size();
+  const double m = static_cast<double>(guide_.size());
+  size_t rank = guide_[static_cast<size_t>(u * m)];
+  while (rank < n && cdf_[rank] < u) ++rank;
+  return rank < n ? rank : n - 1;
 }
 
 double ZipfSampler::pmf(size_t rank) const {

@@ -94,14 +94,19 @@ double CounterLogNormal(uint64_t seed, uint64_t stream, uint64_t counter,
                         double mu, double sigma);
 
 /// Zipf(n, s) sampler over ranks {0, .., n-1} with exponent s, using the
-/// inverse-CDF table method (O(n) setup, O(log n) per sample). Used for
-/// popularity of prefixes/ports in traffic generation.
+/// inverse-CDF table method with a guide table (indexed search): O(n) setup,
+/// O(1) expected per sample. Used for popularity of prefixes/ports in traffic
+/// generation.
 class ZipfSampler {
  public:
   ZipfSampler(size_t n, double s);
 
   /// Rank in [0, n); rank 0 is the most popular.
-  size_t Sample(Rng* rng) const;
+  size_t Sample(Rng* rng) const { return Rank(rng->UniformDouble()); }
+
+  /// The rank a uniform `u` in [0, 1) maps to: the first rank whose CDF is
+  /// >= u, or n-1 if u exceeds every CDF value (std::lower_bound's answer).
+  size_t Rank(double u) const;
 
   /// Probability mass of a given rank.
   double pmf(size_t rank) const;
@@ -110,6 +115,9 @@ class ZipfSampler {
 
  private:
   std::vector<double> cdf_;
+  // guide_[j] is the first rank with cdf_ >= j / m, m = guide_.size(), a
+  // power of two >= 4n so that u * m and j / m are exact doubles.
+  std::vector<uint32_t> guide_;
 };
 
 /// Piecewise-linear diurnal modulation curve: value in [floor, 1] as a

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -166,6 +167,118 @@ TEST_F(GeneratorTest, PrefixHomingConsistent) {
     }
   }
   EXPECT_GT(matched, recs.size() / 3);  // src-side observations
+}
+
+// Golden pins: FNV-1a over every field of every record, in emission order.
+// The constants were computed on the binary-search generator; any change to
+// the generator's hot loop must reproduce them exactly.
+struct WindowDigest {
+  size_t records = 0;
+  uint64_t fnv = 0xcbf29ce484222325ull;
+};
+
+void MixBytes(uint64_t v, int bytes, uint64_t* h) {
+  for (int i = 0; i < bytes; ++i) {
+    *h ^= (v >> (8 * i)) & 0xff;
+    *h *= 0x100000001b3ull;
+  }
+}
+
+WindowDigest DigestWindow(FlowGenerator* gen, int day, double t0, double t1) {
+  WindowDigest d;
+  gen->Generate(day, t0, t1, [&d](const FlowRecord& f) {
+    MixBytes(f.src_ip, 4, &d.fnv);
+    MixBytes(f.dst_ip, 4, &d.fnv);
+    MixBytes(f.src_port, 2, &d.fnv);
+    MixBytes(f.dst_port, 2, &d.fnv);
+    MixBytes(f.bytes, 8, &d.fnv);
+    MixBytes(f.packets, 4, &d.fnv);
+    MixBytes(std::bit_cast<uint64_t>(f.time_sec), 8, &d.fnv);
+    MixBytes(static_cast<uint32_t>(f.router), 4, &d.fnv);
+    ++d.records;
+  });
+  return d;
+}
+
+void ExpectDigest(FlowGenerator* gen, int day, double t0, double t1,
+                  size_t records, uint64_t fnv) {
+  SCOPED_TRACE(testing::Message() << "day " << day << " [" << t0 << ", " << t1
+                                  << ")");
+  WindowDigest d = DigestWindow(gen, day, t0, t1);
+  EXPECT_EQ(d.records, records);
+  EXPECT_EQ(d.fnv, fnv) << std::hex << "0x" << d.fnv;
+}
+
+TEST(GeneratorGoldenTest, BackboneDayShape) {
+  // mindbench's backbone_day: default options, a 20-minute day-0 sample and a
+  // 10-minute day-1 replay, both from 11:00, on one generator.
+  FlowGeneratorOptions opts;
+  opts.seed = 1;
+  FlowGenerator gen(Topology::AbileneGeant(), opts);
+  ExpectDigest(&gen, 0, 39600, 40800, 36719, 0x71d4f63715fe217full);
+  ExpectDigest(&gen, 1, 39600, 40200, 18529, 0x544235c142e12985ull);
+}
+
+TEST(GeneratorGoldenTest, ThirtySecondWindows) {
+  // The window GeneratorTraceSource and fig03 step by.
+  FlowGeneratorOptions opts;
+  opts.peak_flows_per_router_sec = 30;
+  opts.seed = 303;
+  FlowGenerator gen(Topology::AbileneGeant(), opts);
+  ExpectDigest(&gen, 0, 43200, 43230, 672, 0x7da13b63ebb5e7d1ull);
+  ExpectDigest(&gen, 1, 43230, 43260, 516, 0xcb29a4de8d712f28ull);
+}
+
+TEST(GeneratorGoldenTest, WindowCrossesHourBoundary) {
+  FlowGeneratorOptions opts;
+  opts.seed = 42;
+  FlowGenerator gen(Topology::AbileneGeant(), opts);
+  ExpectDigest(&gen, 0, 7140, 7260, 1610, 0xaa99982b6d1a08beull);
+  ExpectDigest(&gen, 1, 64780, 64840, 1843, 0xdb3ecc2e43db42b8ull);
+}
+
+TEST(GeneratorGoldenTest, DriftedDays) {
+  FlowGeneratorOptions opts;
+  opts.seed = 7;
+  FlowGenerator gen(Topology::AbileneGeant(), opts);
+  ExpectDigest(&gen, 2, 50000, 50120, 4716, 0x9f6f2f3aba4a3d3aull);
+  ExpectDigest(&gen, 9, 30000, 30300, 7456, 0x6a1a45a5109296b0ull);
+}
+
+TEST(GeneratorGoldenTest, NonDefaultOptions) {
+  FlowGeneratorOptions opts;
+  opts.prefixes_per_router = 5;
+  opts.hot_set_fraction = 0.8;
+  opts.popularity_exponent = 1.2;
+  opts.seed = 99;
+  FlowGenerator abilene(Topology::Abilene(), opts);
+  ExpectDigest(&abilene, 1, 20000, 20600, 8379, 0x481a1b746d23b99eull);
+  FlowGenerator both(Topology::AbileneGeant(), opts);
+  ExpectDigest(&both, 3, 3500, 3800, 4478, 0xa6fff1b92a0be18dull);
+}
+
+TEST(GeneratorStreamTest, LateWindowsDoNotShareStreamsAcrossDays) {
+  // t0 * 16 reaches 2^20, the lowest day bit, at 65536 s. Unless the key
+  // tells such windows apart, day 0 from 65536 s and day 1 from 0 s draw
+  // one stream and repeat each other's sources and ports.
+  FlowGeneratorOptions opts;
+  opts.peak_flows_per_router_sec = 5;
+  opts.hot_set_fraction = 0;
+  opts.day_drift = 0;  // both days rank prefixes alike
+  opts.hour_noise_sigma = 0;
+  opts.diurnal_floor = 1;  // and draw at one rate
+  opts.seed = 5;
+  FlowGenerator gen(Topology::AbileneGeant(), opts);
+  auto late = gen.GenerateVec(0, 65536, 65546);
+  auto early = gen.GenerateVec(1, 0, 10);
+  ASSERT_FALSE(late.empty());
+  ASSERT_FALSE(early.empty());
+  size_t same = 0;
+  for (size_t i = 0; i < std::min(late.size(), early.size()); ++i) {
+    same += late[i].src_ip == early[i].src_ip &&
+            late[i].src_port == early[i].src_port;
+  }
+  EXPECT_LT(same, std::min(late.size(), early.size()) / 10);
 }
 
 // ---------------------------------------------------------------- Aggregator

@@ -318,6 +318,44 @@ TEST(ZipfTest, EmpiricalMatchesPmf) {
   EXPECT_NEAR(static_cast<double>(counts[1]) / n, zipf.pmf(1), 0.02);
 }
 
+TEST(ZipfTest, RankEqualsLowerBoundOverCdf) {
+  // Rank's guide-table search must return exactly the binary search's rank.
+  const size_t kSizes[] = {1, 15, 272, 1000};
+  for (size_t n : kSizes) {
+    for (double s : {0.9, 1.2}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " s=" << s);
+      ZipfSampler zipf(n, s);
+      // The CDF exactly as the sampler builds it.
+      std::vector<double> cdf(n);
+      double sum = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+        cdf[i] = sum;
+      }
+      for (double& c : cdf) c /= sum;
+      auto lower_bound = [&cdf](double u) {
+        auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        return it == cdf.end() ? cdf.size() - 1
+                               : static_cast<size_t>(it - cdf.begin());
+      };
+      std::vector<double> edges = {0.0, 1.0 - 0x1.0p-53};
+      for (double c : cdf) {
+        for (double u : {std::nextafter(c, 0.0), c, std::nextafter(c, 1.0)}) {
+          if (u >= 0.0 && u < 1.0) edges.push_back(u);
+        }
+      }
+      size_t mismatches = 0;
+      for (double u : edges) mismatches += zipf.Rank(u) != lower_bound(u);
+      Rng rng(n * 31 + static_cast<uint64_t>(s * 10));
+      for (int i = 0; i < 1000000; ++i) {
+        double u = rng.UniformDouble();
+        mismatches += zipf.Rank(u) != lower_bound(u);
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
+}
+
 TEST(DiurnalCurveTest, PeakAndFloor) {
   DiurnalCurve curve(0.4, 14 * 3600.0);
   EXPECT_NEAR(curve.At(14 * 3600.0), 1.0, 1e-9);
